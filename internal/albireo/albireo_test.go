@@ -2,10 +2,13 @@ package albireo
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"photoloop/internal/mapper"
+	"photoloop/internal/mapping"
 	"photoloop/internal/model"
 	"photoloop/internal/workload"
 )
@@ -340,6 +343,73 @@ func TestEvalNetworkFusionRemovesActivationDRAM(t *testing.T) {
 	for _, u := range mid.Best.Result.Usage {
 		if u.Level == "DRAM" && u.Tensor != workload.Weights {
 			t.Errorf("fused middle layer has DRAM usage for %v", u.Tensor)
+		}
+	}
+}
+
+// TestEvalNetworkDeterministicAcrossProcs pins the concurrent network
+// search: the distinct layer shapes are searched in parallel up to
+// GOMAXPROCS, yet the per-layer mappings and results and the network total
+// must be bit-identical at GOMAXPROCS 1 and 4, fused or not, with or
+// without a search cache, and with warm starts.
+func TestEvalNetworkDeterministicAcrossProcs(t *testing.T) {
+	net := workload.ResNet18(1)
+	cfg := Default(Aggressive)
+	base := mapper.Options{Budget: 120, Seed: 3, Workers: 2}
+	prior, err := EvalNetwork(cfg, net, NetOptions{Mapper: base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := map[uint64][]*mapping.Mapping{}
+	for _, le := range prior.Layers {
+		warm[le.Layer.ShapeFingerprint()] = []*mapping.Mapping{le.Best.Mapping}
+	}
+	type variant struct {
+		name  string
+		fused bool
+		cache bool
+		warm  bool
+	}
+	variants := []variant{
+		{"plain", false, false, false},
+		{"plain-cached", false, true, false},
+		{"fused", true, false, false},
+		{"fused-cached", true, true, false},
+		{"fused-warm", true, false, true},
+	}
+	run := func(v variant, procs int) *NetResult {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		opts := NetOptions{Fused: v.fused, Mapper: base}
+		if v.cache {
+			opts.Mapper.Cache = mapper.NewCache()
+		}
+		if v.warm {
+			opts.WarmStarts = warm
+			opts.Mapper.WarmStarts = []*mapping.Mapping{prior.Layers[0].Best.Mapping}
+		}
+		res, err := EvalNetwork(cfg, net, opts)
+		if err != nil {
+			t.Fatalf("%s at GOMAXPROCS %d: %v", v.name, procs, err)
+		}
+		return res
+	}
+	for _, v := range variants {
+		want := run(v, 1)
+		got := run(v, 4)
+		if len(got.Layers) != len(want.Layers) {
+			t.Fatalf("%s: %d layers, want %d", v.name, len(got.Layers), len(want.Layers))
+		}
+		for i := range want.Layers {
+			w, g := want.Layers[i], got.Layers[i]
+			if g.Layer.Name != w.Layer.Name || g.Best.Mapping.String() != w.Best.Mapping.String() {
+				t.Errorf("%s/%s: mapping differs at GOMAXPROCS 4:\n%s\nvs\n%s", v.name, w.Layer.Name, g.Best.Mapping, w.Best.Mapping)
+			}
+			if !reflect.DeepEqual(g.Best.Result, w.Best.Result) || g.Best.Evaluations != w.Best.Evaluations || g.Best.Stats != w.Best.Stats {
+				t.Errorf("%s/%s: result differs at GOMAXPROCS 4", v.name, w.Layer.Name)
+			}
+		}
+		if !reflect.DeepEqual(got.Total, want.Total) {
+			t.Errorf("%s: total differs at GOMAXPROCS 4: %g vs %g pJ", v.name, got.Total.TotalPJ, want.Total.TotalPJ)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package albireo
 
 import (
 	"fmt"
+	"slices"
 
 	"photoloop/internal/mapper"
 	"photoloop/internal/mapping"
@@ -99,40 +100,33 @@ func EvalNetwork(cfg Config, net workload.Network, opts NetOptions) (*NetResult,
 		return s, nil
 	}
 
-	// One search per distinct (session, layer shape): a search outcome
-	// depends only on the layer's shape and the options (the canonical
-	// seed mappings are themselves shape properties), so repeated blocks
-	// reuse the representative's result — bit-identical to re-searching,
-	// and it skips both the search and the per-layer seed construction.
-	type searchKey struct {
-		sess  *mapper.Session
-		shape uint64
-	}
-	solved := map[searchKey]*mapper.Best{}
+	// mapper.SearchLayers searches one representative per distinct
+	// (session, layer shape) — the canonical seed mappings are themselves
+	// shape properties — and clones its result for repeated blocks. The
+	// seeds and warm starts are built inside each representative's search.
+	tasks := make([]mapper.LayerTask, len(work.Layers))
 	for i := range work.Layers {
-		layer := work.Layers[i]
+		layer := &work.Layers[i]
 		sess, err := sessionFor(i)
 		if err != nil {
 			return nil, fmt.Errorf("albireo: %s: %w", layer.Name, err)
 		}
-		key := searchKey{sess, layer.ShapeFingerprint()}
-		var best *mapper.Best
-		if prior, ok := solved[key]; ok {
-			best = prior.CloneFor(layer.Name)
-		} else {
-			a := sess.Engine().Arch()
+		tasks[i] = mapper.LayerTask{Session: sess, Layer: layer, Options: func() mapper.Options {
 			mopts := opts.Mapper
-			mopts.Seeds = append(CanonicalMappings(a, &layer), mopts.Seeds...)
+			mopts.Seeds = append(CanonicalMappings(sess.Engine().Arch(), layer), mopts.Seeds...)
 			if opts.WarmStarts != nil {
-				mopts.WarmStarts = append(opts.WarmStarts[layer.ShapeFingerprint()], mopts.WarmStarts...)
+				// A fresh slice: concurrent searches share the map's entries.
+				mopts.WarmStarts = slices.Concat(opts.WarmStarts[layer.ShapeFingerprint()], mopts.WarmStarts)
 			}
-			best, err = sess.Search(&layer, mopts)
-			if err != nil {
-				return nil, fmt.Errorf("albireo: mapping %s: %w", layer.Name, err)
-			}
-			solved[key] = best
-		}
-		res.Layers = append(res.Layers, LayerEval{Layer: layer, Best: best})
+			return mopts
+		}}
+	}
+	bests, err := mapper.SearchLayers(tasks)
+	if err != nil {
+		return nil, fmt.Errorf("albireo: %w", err)
+	}
+	for i, best := range bests {
+		res.Layers = append(res.Layers, LayerEval{Layer: work.Layers[i], Best: best})
 		res.Total.Accumulate(best.Result)
 	}
 	return res, nil

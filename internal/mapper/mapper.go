@@ -21,11 +21,13 @@ package mapper
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -301,14 +303,77 @@ func (s *splitmix64) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // workerState pools one search worker's reusable allocations across
 // Search calls: the evaluation scratch, the shared result buffer, the
-// candidate ping-pong buffers and the dedup set dominate the per-call
-// allocation profile of short searches.
+// candidate ping-pong buffers, the dedup set and the candidate stream's
+// tables dominate the per-call allocation profile of short searches.
 type workerState struct {
 	scratch *model.Scratch
 	res     *model.Result
 	bufA    *mapping.Mapping
 	bufB    *mapping.Mapping
 	seen    map[uint64]struct{}
+
+	// The candidate stream, grown to the largest draw so far: the compact
+	// candidates with their per-level permutation and temporal backing
+	// arrays, and phase 1's scoring order.
+	cands []candidate
+	perms []uint8
+	temps []workload.Point
+	order []scoreSlot
+	// remTab caches the remaining temporal bounds per spatial assignment;
+	// they depend on the layer, so every draw clears it. padded caches
+	// mapping.PaddedCandidates by bound; that depends on the bound alone,
+	// so it stays valid across searches.
+	remTab []workload.Point
+	padded [][]int
+}
+
+// scoreSlot is one phase-1 candidate in scoring order: its candidateKey
+// and its draw index, which breaks key ties.
+type scoreSlot struct {
+	key uint64
+	ci  int
+}
+
+// getWorker takes a pooled worker state, or builds one.
+func (s *Session) getWorker() *workerState {
+	if ws, _ := s.workers.Get().(*workerState); ws != nil {
+		return ws
+	}
+	return &workerState{
+		scratch: s.eng.NewScratch(),
+		res:     &model.Result{},
+		bufA:    mapping.New(s.a),
+		bufB:    mapping.New(s.a),
+		seen:    make(map[uint64]struct{}, 512),
+	}
+}
+
+// putWorker returns a worker state to the session's pool.
+func (s *Session) putWorker(ws *workerState) {
+	clear(ws.seen)
+	s.workers.Put(ws)
+}
+
+// paddedCandidates is mapping.PaddedCandidates through the worker's
+// index-addressed table: PaddedCandidates consults a process-global
+// sync.Map, which is markedly dearer in the draw loop. Bounds are small
+// (remaining temporal trip counts); truly huge ones fall through.
+func (ws *workerState) paddedCandidates(bound int) []int {
+	const direct = 1 << 14
+	if bound >= direct {
+		return mapping.PaddedCandidates(bound)
+	}
+	if bound >= len(ws.padded) {
+		grown := make([][]int, bound+1)
+		copy(grown, ws.padded)
+		ws.padded = grown
+	}
+	if c := ws.padded[bound]; c != nil {
+		return c
+	}
+	c := mapping.PaddedCandidates(bound)
+	ws.padded[bound] = c
+	return c
 }
 
 // NewSession prepares an architecture for repeated searches.
@@ -588,42 +653,27 @@ type candidate struct {
 // die in validation; skipping them redirects that budget to schedules that
 // can actually win. A capped level's permutation is inert (it has no loops)
 // and stays at the first candidate order.
-func (s *Session) drawCandidates(l *workload.Layer, rng *rand.Rand, k, n int) []candidate {
-	perms := make([]uint8, k*n)
-	temps := make([]workload.Point, k*n)
-	cands := make([]candidate, k)
-	minLv := s.minLv
-	// PaddedCandidates consults a process-global sync.Map; an index-addressed
-	// worker-local cache is markedly cheaper in this loop. Bounds are small
-	// (remaining temporal trip counts); truly huge ones fall through.
-	const pcDirect = 1 << 14
-	var pc [][]int
-	paddedCands := func(bound int) []int {
-		if bound >= pcDirect {
-			return mapping.PaddedCandidates(bound)
-		}
-		if bound >= len(pc) {
-			grown := make([][]int, bound+1)
-			copy(grown, pc)
-			pc = grown
-		}
-		if c := pc[bound]; c != nil {
-			return c
-		}
-		c := mapping.PaddedCandidates(bound)
-		pc[bound] = c
-		return c
+//
+// The candidates live in the worker state's buffers and stay valid until
+// its next draw; once the buffers have grown to k, a draw allocates nothing.
+func (s *Session) drawCandidates(ws *workerState, l *workload.Layer, rng *rand.Rand, k, n int) []candidate {
+	if cap(ws.cands) < k {
+		ws.cands = make([]candidate, k)
 	}
+	if cap(ws.perms) < k*n {
+		ws.perms = make([]uint8, k*n)
+		ws.temps = make([]workload.Point, k*n)
+	}
+	if cap(ws.remTab) < len(s.assignments) {
+		ws.remTab = make([]workload.Point, len(s.assignments))
+	}
+	cands, perms, temps := ws.cands[:k], ws.perms, ws.temps
+	minLv := s.minLv
 	// Remaining temporal bounds per assignment, computed lazily: a draw
 	// stream touches a handful of the enumerated assignments, and the old
 	// loop recomputed the bounds for every single candidate.
-	remTab := make([]workload.Point, len(s.assignments))
-	remFor := func(ai int) workload.Point {
-		if remTab[ai] == (workload.Point{}) {
-			remTab[ai] = assignmentRemaining(s.a, s.assignments[ai], l)
-		}
-		return remTab[ai]
-	}
+	remTab := ws.remTab[:len(s.assignments)]
+	clear(remTab)
 	for ci := range cands {
 		cand := &cands[ci]
 		cand.perm = perms[ci*n : (ci+1)*n : (ci+1)*n]
@@ -633,7 +683,10 @@ func (s *Session) drawCandidates(l *workload.Layer, rng *rand.Rand, k, n int) []
 			ai = rng.Intn(len(s.assignments))
 		}
 		cand.assign = int32(ai)
-		rem := remFor(ai)
+		if remTab[ai] == (workload.Point{}) {
+			remTab[ai] = assignmentRemaining(s.a, s.assignments[ai], l)
+		}
+		rem := remTab[ai]
 		for i := range cand.temporal {
 			cand.temporal[i] = workload.Ones()
 		}
@@ -643,13 +696,16 @@ func (s *Session) drawCandidates(l *workload.Layer, rng *rand.Rand, k, n int) []
 				if s.tpOne[i] {
 					continue
 				}
-				cs := paddedCands(left)
+				cs := ws.paddedCandidates(left)
 				f := cs[rng.Intn(len(cs))]
 				cand.temporal[i][d] = f
 				left = workload.CeilDiv(left, f)
 			}
 			cand.temporal[minLv[d]][d] *= left
 		}
+		// A capped level's entry is never written, so it keeps its zero
+		// from allocation: a worker state serves one session, so reused
+		// buffers put the capped levels at the same offsets every draw.
 		for i := 0; i < n; i++ {
 			if s.tpOne[i] {
 				continue
@@ -749,20 +805,8 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 	}
 	a := s.a
 	n := a.NumLevels()
-	ws, _ := s.workers.Get().(*workerState)
-	if ws == nil {
-		ws = &workerState{
-			scratch: s.eng.NewScratch(),
-			res:     &model.Result{},
-			bufA:    mapping.New(a),
-			bufB:    mapping.New(a),
-			seen:    make(map[uint64]struct{}, 512),
-		}
-	}
-	defer func() {
-		clear(ws.seen)
-		s.workers.Put(ws)
-	}()
+	ws := s.getWorker()
+	defer s.putWorker(ws)
 	scratch, res, seen := ws.scratch, ws.res, ws.seen
 	evalOpts := model.Options{SkipValidate: true, ChargeStatic: o.Eval.ChargeStatic}
 	validate := !o.Eval.SkipValidate
@@ -1041,7 +1085,7 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 	// evaluation state; the candidate set — and hence the outcome — is
 	// identical to the legacy interleaved loop.
 	if k := budget*7/10 - evals; k > 0 {
-		cands := s.drawCandidates(l, rng, k, n)
+		cands := s.drawCandidates(ws, l, rng, k, n)
 		// Cheap structural pre-reject on the compact form, mirroring
 		// Validate's MaxTemporalProduct rule exactly: a draw that puts
 		// temporal loops on a capped level (an analog accumulator, a ring
@@ -1050,7 +1094,7 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 		// Validate per such draw. Gated on the same validate flag as
 		// try(): a SkipValidate search trusts (and fully evaluates) every
 		// draw, exactly like the legacy sampler.
-		order := make([]int, 0, k)
+		order := ws.order[:0]
 	prefilter:
 		for ci := range cands {
 			if validate {
@@ -1062,19 +1106,17 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 					}
 				}
 			}
-			order = append(order, ci)
+			order = append(order, scoreSlot{key: candidateKey(&cands[ci]), ci: ci})
 		}
-		keys := make([]uint64, len(cands))
-		for ci := range cands {
-			keys[ci] = candidateKey(&cands[ci])
-		}
-		sort.Slice(order, func(i, j int) bool {
-			if keys[order[i]] != keys[order[j]] {
-				return keys[order[i]] < keys[order[j]]
+		ws.order = order
+		slices.SortFunc(order, func(x, y scoreSlot) int {
+			if c := cmp.Compare(x.key, y.key); c != 0 {
+				return c
 			}
-			return order[i] < order[j]
+			return cmp.Compare(x.ci, y.ci)
 		})
-		for _, ci := range order {
+		for _, slot := range order {
+			ci := slot.ci
 			m := matBuf()
 			ba := bufAssign(m)
 			s.materialize(m, &cands[ci], *ba == cands[ci].assign)
@@ -1397,54 +1439,85 @@ func SearchNetwork(a *arch.Arch, net *workload.Network, opts Options) ([]*Best, 
 }
 
 // SearchNetwork maps every layer of a network on the session's
-// architecture; distinct layer shapes are searched concurrently.
-//
-// Layers with equal shape fingerprints search identically (a search
-// depends only on the layer's shape and the options), so one
-// representative per distinct shape is searched and its result cloned for
-// the duplicates — bit-identical to searching every layer, and a large
-// saving on networks built from repeated blocks (ResNet's basic blocks,
-// VGG's paired convolutions). This is the incumbent threading the sweep
-// performs across points, applied within a network where it is exact.
+// architecture through SearchLayers: one search per distinct layer shape,
+// the distinct shapes searched concurrently.
 func (s *Session) SearchNetwork(net *workload.Network, opts Options) ([]*Best, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
-	bests := make([]*Best, len(net.Layers))
-	errs := make([]error, len(net.Layers))
-	rep := make([]int, len(net.Layers)) // representative index per layer
-	firstByShape := make(map[uint64]int, len(net.Layers))
-	var reps []int
+	tasks := make([]LayerTask, len(net.Layers))
 	for i := range net.Layers {
-		fp := net.Layers[i].ShapeFingerprint()
-		if j, ok := firstByShape[fp]; ok {
-			rep[i] = j
-		} else {
-			firstByShape[fp] = i
-			rep[i] = i
-			reps = append(reps, i)
-		}
+		tasks[i] = LayerTask{Session: s, Layer: &net.Layers[i], Options: func() Options { return opts }}
 	}
+	return SearchLayers(tasks)
+}
+
+// LayerTask is one layer of a network search: the session (architecture)
+// to search it on, the layer, and its search options.
+type LayerTask struct {
+	Session *Session
+	Layer   *workload.Layer
+	// Options builds the layer's search options. SearchLayers calls it
+	// once per distinct (Session, layer shape), inside that search's
+	// goroutine, so per-layer option building (canonical seed mappings,
+	// warm-start lookups) runs concurrently and duplicates skip it. Tasks
+	// sharing a session and a shape must build equal options.
+	Options func() Options
+}
+
+// SearchLayers searches a network's layers and returns their bests in task
+// order. It is the one routine that maps a whole network.
+//
+// Tasks with equal (Session, shape fingerprint) search identically (a
+// search depends only on the architecture, the layer's shape and the
+// options), so one representative per distinct pair is searched and its
+// result cloned for the duplicates — bit-identical to searching every
+// layer, and a large saving on networks built from repeated blocks
+// (ResNet's basic blocks, VGG's paired convolutions). This is the
+// incumbent threading the sweep performs across points, applied within a
+// network where it is exact. The representatives are searched
+// concurrently, at most GOMAXPROCS at a time, in task order; each search
+// still runs its own Options.Workers, so a worker that finishes its budget
+// share early finds another layer's search to run instead of idling at its
+// search's join. Outcomes do not depend on that scheduling. The error, if
+// any, is the first failing task's.
+func SearchLayers(tasks []LayerTask) ([]*Best, error) {
+	type shapeKey struct {
+		s     *Session
+		shape uint64
+	}
+	bests := make([]*Best, len(tasks))
+	errs := make([]error, len(tasks))
+	rep := make([]int, len(tasks)) // representative index per task
+	first := make(map[shapeKey]int, len(tasks))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, maxParallel())
-	for _, i := range reps {
+	for i := range tasks {
+		t := &tasks[i]
+		key := shapeKey{t.Session, t.Layer.ShapeFingerprint()}
+		if j, ok := first[key]; ok {
+			rep[i] = j
+			continue
+		}
+		first[key] = i
+		rep[i] = i
+		sem <- struct{}{}
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
 			defer func() { <-sem }()
-			bests[i], errs[i] = s.Search(&net.Layers[i], opts)
-		}(i)
+			bests[i], errs[i] = t.Session.Search(t.Layer, t.Options())
+		}()
 	}
 	wg.Wait()
-	for _, i := range reps {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("mapper: layer %s: %w", net.Layers[i].Name, errs[i])
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("mapper: layer %s: %w", tasks[i].Layer.Name, err)
 		}
 	}
-	for i := range net.Layers {
+	for i := range tasks {
 		if rep[i] != i {
-			bests[i] = bests[rep[i]].CloneFor(net.Layers[i].Name)
+			bests[i] = bests[rep[i]].CloneFor(tasks[i].Layer.Name)
 		}
 	}
 	return bests, nil

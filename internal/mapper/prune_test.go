@@ -236,8 +236,17 @@ func TestDrawCandidatesMatchesRandomMapping(t *testing.T) {
 			}
 			want = append(want, randomMapping(a, &l, assign, s.minLv, legacy))
 		}
+		// The pooled buffers must not leak state between draws: draw a
+		// larger stream of another layer through the worker state first,
+		// then check the second draw in full.
+		ws := s.getWorker()
+		other := workload.NewConv("other", 1, 64, 32, 14, 14, 1, 1, 1, 1)
+		s.drawCandidates(ws, &other, rand.New(rand.NewSource(3)), 2*k, a.NumLevels())
 		rng := rand.New(rand.NewSource(17))
-		cands := s.drawCandidates(&l, rng, k, a.NumLevels())
+		cands := s.drawCandidates(ws, &l, rng, k, a.NumLevels())
+		if len(cands) != k {
+			t.Fatalf("%s: drew %d candidates, want %d", a.Name, len(cands), k)
+		}
 		buf := mapping.New(a)
 		for i := range cands {
 			s.materialize(buf, &cands[i], false)
@@ -245,6 +254,37 @@ func TestDrawCandidatesMatchesRandomMapping(t *testing.T) {
 				t.Fatalf("%s: candidate %d diverged from randomMapping:\n%s\nvs\n%s", a.Name, i, buf, want[i])
 			}
 		}
+		s.putWorker(ws)
+	}
+}
+
+// TestCandidateStreamZeroAlloc guards the pooled candidate stream: once a
+// search on the session has grown the worker state's draw buffers, drawing
+// a further candidate stream through that state allocates nothing.
+func TestCandidateStreamZeroAlloc(t *testing.T) {
+	a := photonicTestArch(t)
+	s, err := NewSession(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := workload.NewConv("alloc", 1, 24, 12, 10, 10, 3, 3, 1, 1)
+	const seed = 7
+	if _, err := s.Search(&l, Options{Budget: 400, Seed: seed, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ws := s.getWorker()
+	defer s.putWorker(ws)
+	// The warm-up's single worker drew well over k candidates from this
+	// seed's stream (phase 1 takes 7/10 of the budget, less the seeds),
+	// so a k-prefix of the same stream fits the grown buffers and meets
+	// only bounds already in the padded-candidate table.
+	const k = 200
+	rng := rand.New(&splitmix64{})
+	if n := testing.AllocsPerRun(50, func() {
+		rng.Seed(seed)
+		s.drawCandidates(ws, &l, rng, k, a.NumLevels())
+	}); n != 0 {
+		t.Errorf("candidate-stream draw allocates %.1f times, want 0", n)
 	}
 }
 
