@@ -347,7 +347,7 @@ func renderBench(out io.Writer, doc *BenchDoc) error {
 			if r.Speedup > 0 {
 				sp = fmt.Sprintf("  %.2fx", r.Speedup)
 			}
-			fmt.Fprintf(out, "  %s worker(s): %.0f ms, %d segments, %d searches%s\n", n, r.WallMS, r.Segments, r.StoreLen, sp)
+			fmt.Fprintf(out, "  %s worker(s): %.0f ms, %d searches%s\n", n, r.WallMS, r.StoreLen, sp)
 		}
 		if sc.Note != "" {
 			fmt.Fprintf(out, "  note: %s\n", sc.Note)

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"strconv"
@@ -15,7 +16,7 @@ import (
 )
 
 // BenchScaling is the sharded-worker scaling measurement: the same sweep
-// job run to completion on a cold store with 1, 2 and 4 worker loops
+// job run to completion on a cold store with 1, 2 and 4 remote workers
 // (coordinator evaluates nothing itself). Searches counts the unique
 // layer searches the job needs; every worker count computes exactly that
 // many — the leases partition the grid, so adding workers never
@@ -33,9 +34,6 @@ type BenchScaling struct {
 // BenchScalingRun is one worker count's cold-store job run.
 type BenchScalingRun struct {
 	WallMS float64 `json:"wall_ms"`
-	// Segments is how many store segments the run produced (one per
-	// writer: the workers, plus the coordinator's own).
-	Segments int `json:"segments"`
 	// StoreLen is the store's unique-search count after the run — equal
 	// across worker counts when no work is duplicated.
 	StoreLen int `json:"store_len"`
@@ -91,8 +89,8 @@ func benchScaling(counts []int) (*BenchScaling, error) {
 }
 
 // benchScalingRun executes the benchmark job once on a cold store with n
-// dedicated worker loops, each holding its own store handle (its own
-// segment — the real multi-writer layout).
+// remote workers, each uploading its results to the coordinator over a
+// loopback HTTP server — the topology of `photoloop worker`.
 func benchScalingRun(n int) (BenchScalingRun, int, error) {
 	var zero BenchScalingRun
 	dir, err := os.MkdirTemp("", "photoloop-bench-scaling-*")
@@ -109,18 +107,18 @@ func benchScalingRun(n int) (BenchScalingRun, int, error) {
 	m.Shard = shard.NewCoordinator()
 	m.ShardLocal = false
 	m.Workers = 1
+	srv := sweep.NewServer()
+	jobs.Attach(srv, m)
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, n)
 	for i := 0; i < n; i++ {
-		wst, err := store.Open(dir)
-		if err != nil {
-			return zero, 0, err
-		}
-		defer wst.Close()
+		rp := store.NewRemotePersister(hs.URL, nil)
 		go func() {
-			done <- shard.Work(ctx, shard.Local{C: m.Shard}, shard.SharedDir{S: wst}, shard.WorkerOptions{Poll: 5 * time.Millisecond})
+			done <- shard.Work(ctx, &shard.Client{Base: hs.URL}, rp, shard.WorkerOptions{Poll: 5 * time.Millisecond})
 		}()
 	}
 
@@ -143,7 +141,6 @@ func benchScalingRun(n int) (BenchScalingRun, int, error) {
 	}
 	return BenchScalingRun{
 		WallMS:   float64(wall.Microseconds()) / 1e3,
-		Segments: m.Store().Segments(),
 		StoreLen: m.Store().Len(),
 	}, st.Total, nil
 }

@@ -13,7 +13,7 @@
 //	photoloop jobs submit -store DIR (-sweep s.json | -explore e.json) ...
 //	photoloop jobs (resume|status|result) -store DIR [-id ID] ...
 //	photoloop serve [-addr :8080] [-workers N] [-store DIR] [-shard]
-//	photoloop worker -coordinator URL {-store DIR | -remote} [-job ID]
+//	photoloop worker -coordinator URL [-job ID]
 //	photoloop bench [-json] [-out BENCH.json] [-compare prior.json]
 //	photoloop template          # print an example architecture spec
 //	photoloop networks          # list built-in workloads
@@ -43,6 +43,7 @@ import (
 	"photoloop/internal/presets"
 	"photoloop/internal/shard"
 	"photoloop/internal/spec"
+	"photoloop/internal/store"
 	"photoloop/internal/sweep"
 	"photoloop/internal/workload"
 )
@@ -157,7 +158,11 @@ func usage(w io.Writer) {
       re-running a finished job recomputes nothing. submit is idempotent
       (equal specs are one job, named by a content address) and runs the
       job to completion; resume re-runs an interrupted or failed job to a
-      byte-identical result. See docs/SERVICE.md.
+      byte-identical result. One process at a time holds DIR's store;
+      status and result only read the job records, so they also work
+      while a serve process holds it (status then reports its running
+      jobs as running; with no holder they read as interrupted). See
+      docs/SERVICE.md.
   photoloop serve [-addr :8080] [-workers N] [-store DIR] [-debug]
                   [-shard] [-shard-local=true] [-shard-ttl 10s]
       Serve the model over HTTP: POST /v1/eval, POST /v1/sweep,
@@ -170,16 +175,14 @@ func usage(w io.Writer) {
       out across attached 'photoloop worker' processes through range
       leases; -shard-local=false leaves all evaluation to workers, and
       GET /v1/jobs/{id}/shards reports lease progress.
-  photoloop worker -coordinator URL {-store DIR | -remote} [-job ID]
-                   [-poll D] [-search-workers N] [-max-leases N] [-quiet]
+  photoloop worker -coordinator URL [-job ID] [-poll D]
+                   [-search-workers N] [-max-leases N] [-quiet]
       Join a serve -shard process as one worker: lease task ranges,
-      evaluate them, report completion. With -store DIR the worker
-      appends results to its own segment of the shared store directory
-      (which must be the same directory the serve process opened); with
-      -remote it holds no store at all and uploads results back to the
-      coordinator over HTTP — shared-nothing workers on any machine that
-      can reach the URL. Killing a worker is always safe: finished
-      searches are durable and its range is reassigned after the lease
+      evaluate them, upload the results to the coordinator over HTTP and
+      report completion. The worker holds no store at all, so it runs on
+      any machine that can reach the URL (-remote is implied and still
+      accepted). Killing a worker is always safe: finished searches
+      are uploaded per lease and its range is reassigned after the lease
       TTL. See docs/SERVICE.md.
   photoloop bench [-json] [-out BENCH.json] [-compare prior.json] [-label name]
                   [-scaling]
@@ -188,7 +191,7 @@ func usage(w io.Writer) {
       them as a table or a bench JSON document. -compare embeds a prior
       document as the baseline and reports speedups — the repo's committed
       BENCH_*.json trajectory artifacts are produced this way. -scaling
-      additionally runs the same sweep job with 1, 2 and 4 sharded workers
+      additionally runs the same sweep job with 1, 2 and 4 remote workers
       on a cold store and records wall time plus work conservation.
   photoloop template    print an example architecture spec
   photoloop networks    list built-in workloads
@@ -469,7 +472,8 @@ func cmdSweep(args []string) error {
 
 // cmdJobs drives the durable job engine: submit/resume run synchronously
 // in this process (the HTTP server's POST /v1/jobs runs the same engine
-// asynchronously); status and result only read the store directory.
+// asynchronously); status and result only read the job records and never
+// open the store, so they work while another process holds it.
 func cmdJobs(args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("jobs requires a verb: submit, resume, status or result")
@@ -497,12 +501,15 @@ func cmdJobs(args []string) error {
 	if *storeDir == "" {
 		return fmt.Errorf("jobs %s requires -store", verb)
 	}
-	m, err := jobs.Open(*storeDir)
-	if err != nil {
-		return err
+	var m *jobs.Manager
+	if verb == "submit" || verb == "resume" {
+		var err error
+		if m, err = jobs.Open(*storeDir); err != nil {
+			return err
+		}
+		defer m.Close()
+		m.Workers = *workers
 	}
-	defer m.Close()
-	m.Workers = *workers
 
 	runJob := func(jobID string) error {
 		if !*quiet {
@@ -560,14 +567,21 @@ func cmdJobs(args []string) error {
 		}
 		return runJob(*id)
 	case "status":
+		// This process runs no job, so a "running" state is live only if
+		// another process holds the store (serve, or a submit/resume):
+		// report it as running then, and as interrupted otherwise.
+		var running func(string) bool
+		if _, held := store.Held(*storeDir); held {
+			running = func(string) bool { return true }
+		}
 		if *id != "" {
-			st, err := m.Status(*id)
+			st, err := jobs.ReadStatus(*storeDir, *id, running)
 			if err != nil {
 				return err
 			}
 			return sweep.EncodeResponseJSON(os.Stdout, st)
 		}
-		list, err := m.List()
+		list, err := jobs.ListStatus(*storeDir, running)
 		if err != nil {
 			return err
 		}
@@ -576,7 +590,7 @@ func cmdJobs(args []string) error {
 		if *id == "" {
 			return fmt.Errorf("jobs result requires -id")
 		}
-		buf, err := m.Result(*id)
+		buf, err := jobs.ReadResult(*storeDir, *id)
 		if err != nil {
 			return err
 		}
@@ -616,7 +630,7 @@ func cmdServe(args []string) error {
 		return err
 	}
 	if *shardFlag && *storeDir == "" {
-		return fmt.Errorf("serve: -shard requires -store (workers share the store directory)")
+		return fmt.Errorf("serve: -shard requires -store (worker results land in the coordinator's store)")
 	}
 	srv := sweep.NewServer()
 	srv.Workers = *workers

@@ -47,38 +47,22 @@ func waitHTTP(t *testing.T, base string) {
 	}
 }
 
-// TestShardWorkerKilledMidLease is the sharded-durability acceptance
-// test, with real processes: a serve coordinator that evaluates nothing
-// itself, a worker SIGKILLed while it holds a lease, and a second worker
-// that picks up the expired range. The job must complete with an
-// artifact byte-identical to an unsharded single-process run, and the
-// job status must record the reassignment.
-func TestShardWorkerKilledMidLease(t *testing.T) {
+// TestJobsStatusResultWhileServeHolds runs a job under `serve -store
+// DIR`, then reads it with `jobs status` and `jobs result` against DIR
+// while serve is still up and holds the store's writer lock. Neither verb
+// opens the store, so both must work; a verb that does open it (`jobs
+// submit`) must fail naming serve's pid.
+func TestJobsStatusResultWhileServeHolds(t *testing.T) {
 	if testing.Short() {
-		t.Skip("subprocess crash test")
+		t.Skip("subprocess test")
 	}
-	specDir := t.TempDir()
-	sweepSpec := writeSpecFile(t, specDir, "sweep.json", crashSweepSpec())
+	sweepSpec := writeSpecFile(t, t.TempDir(), "sweep.json", crashSweepSpec())
+	refID, ref := referenceArtifact(t, sweepSpec)
 
-	// Reference: the same job, unsharded, in its own store.
-	refDir := t.TempDir()
-	out, err := cli(t, "jobs", "submit", "-store", refDir, "-sweep", sweepSpec, "-quiet").Output()
-	if err != nil {
-		t.Fatalf("reference run: %v (%s)", err, out)
-	}
-	id := strings.TrimPrefix(strings.TrimSpace(string(out)), "job ")
-	ref, err := os.ReadFile(filepath.Join(refDir, "jobs", id, "result.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Coordinator: short lease TTL so the killed worker's range comes
-	// back quickly; -shard-local=false so only attached workers evaluate.
 	storeDir := t.TempDir()
 	addr := freePort(t)
 	base := "http://" + addr
-	serve := cli(t, "serve", "-addr", addr, "-store", storeDir,
-		"-shard", "-shard-local=false", "-shard-ttl", "2s")
+	serve := cli(t, "serve", "-addr", addr, "-store", storeDir)
 	if err := serve.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -87,130 +71,81 @@ func TestShardWorkerKilledMidLease(t *testing.T) {
 		serve.Wait()
 	}()
 	waitHTTP(t, base)
+	id := submitSweepHTTP(t, base, sweepSpec)
+	if id != refID {
+		t.Fatalf("job ID %s does not match reference %s", id, refID)
+	}
+	if st := waitJobDone(t, base, id); st.State != jobs.StateDone {
+		t.Fatalf("job failed: %s", st.Error)
+	}
 
-	// Submit over HTTP; the run blocks until workers chew the grid.
-	spec, err := os.ReadFile(sweepSpec)
+	out, err := cli(t, "jobs", "status", "-store", storeDir, "-id", id).Output()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("jobs status while serve holds the store: %v (%s)", err, out)
 	}
-	resp, err := http.Post(base+"/v1/jobs", "application/json",
-		bytes.NewReader([]byte(`{"sweep":`+string(spec)+`}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sub jobs.Status
-	err = json.NewDecoder(resp.Body).Decode(&sub)
-	resp.Body.Close()
-	if err != nil || sub.ID != id {
-		t.Fatalf("submit -> %+v, %v (want job %s)", sub, err, id)
-	}
-
-	// Worker A: slowed so the SIGKILL lands inside a lease. Its stderr
-	// tells us when it holds one.
-	workerA := cli(t, "worker", "-coordinator", base, "-store", storeDir)
-	workerA.Env = append(workerA.Env, "PHOTOLOOP_JOB_POINT_DELAY=1s")
-	workerA.Stderr = nil // cli() wired os.Stderr; use a pipe instead
-	aErr, err := workerA.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := workerA.Start(); err != nil {
-		t.Fatal(err)
-	}
-	leased := make(chan struct{})
-	go func() {
-		sc := bufio.NewScanner(aErr)
-		for sc.Scan() {
-			if strings.Contains(sc.Text(), "leased") {
-				close(leased)
-				return
-			}
-		}
-	}()
-	select {
-	case <-leased:
-	case <-time.After(60 * time.Second):
-		workerA.Process.Kill()
-		workerA.Wait()
-		t.Fatal("worker A never acquired a lease")
-	}
-	if err := workerA.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	workerA.Wait()
-
-	// Worker B finishes the job, including the dead worker's range once
-	// its lease expires.
-	workerB := cli(t, "worker", "-coordinator", base, "-store", storeDir, "-quiet")
-	if err := workerB.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		workerB.Process.Kill()
-		workerB.Wait()
-	}()
-
-	deadline := time.Now().Add(120 * time.Second)
 	var st jobs.Status
-	for {
-		resp, err := http.Get(base + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State == jobs.StateDone || st.State == jobs.StateFailed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sharded job never finished: %+v", st)
-		}
-		time.Sleep(100 * time.Millisecond)
+	if err := json.Unmarshal(out, &st); err != nil || st.ID != id || st.State != jobs.StateDone {
+		t.Fatalf("jobs status -> %+v, %v", st, err)
 	}
-	if st.State != jobs.StateDone {
-		t.Fatalf("sharded job failed: %s", st.Error)
-	}
-	if st.Shards == nil || st.Shards.Reassigned == 0 {
-		t.Errorf("status does not record the killed worker's reassignment: %+v", st.Shards)
-	}
-	if st.Store == nil || st.Store.Misses != 0 {
-		t.Errorf("coordinator recomputed searches itself: %+v", st.Store)
-	}
-
-	resp, err = http.Get(base + "/v1/jobs/" + id + "/result")
+	got, err := cli(t, "jobs", "result", "-store", storeDir, "-id", id).Output()
 	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(filepath.Join(storeDir, "jobs", id, "result.json"))
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("jobs result while serve holds the store: %v", err)
 	}
 	if !bytes.Equal(got, ref) {
-		t.Errorf("sharded artifact differs from unsharded run (%d vs %d bytes)", len(got), len(ref))
+		t.Errorf("jobs result differs from the reference artifact (%d vs %d bytes)", len(got), len(ref))
 	}
 
-	// Kill the serve process (another hard death: its segment lock goes
-	// stale) and warm-repeat the job offline: the merged worker segments
-	// serve every search, zero recomputed, identical bytes.
-	serve.Process.Kill()
-	serve.Wait()
-	if out, err := cli(t, "jobs", "resume", "-store", storeDir, "-id", id, "-quiet").Output(); err != nil {
-		t.Fatalf("offline warm repeat: %v (%s)", err, out)
+	submit := cli(t, "jobs", "submit", "-store", storeDir, "-sweep", sweepSpec, "-quiet")
+	submit.Stderr = nil
+	msg, err := submit.CombinedOutput()
+	if err == nil {
+		t.Fatal("jobs submit opened a store that serve holds")
 	}
-	after := readStatus(t, storeDir, id)
-	if after.Store == nil || after.Store.Misses != 0 {
-		t.Errorf("warm repeat computed searches: %+v", after.Store)
+	if want := fmt.Sprintf("locked by pid %d", serve.Process.Pid); !strings.Contains(string(msg), want) {
+		t.Errorf("jobs submit error %q does not say %q", msg, want)
 	}
-	repeat, err := os.ReadFile(filepath.Join(storeDir, "jobs", id, "result.json"))
+	resp, err := http.Get(base + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatalf("serve gone after the CLI reads: %v", err)
+	}
+	resp.Body.Close()
+
+	// A job whose state file says running reads as running while serve
+	// holds the store, and as interrupted once no process does.
+	const liveID = "jrunning"
+	buf, err := json.Marshal(jobs.Status{ID: liveID, State: jobs.StateRunning})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(repeat, ref) {
-		t.Error("warm repeat artifact differs")
+	if err := os.MkdirAll(filepath.Join(storeDir, "jobs", liveID), 0o777); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(storeDir, "jobs", liveID, "state.json"), buf, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	stateOf := func() string {
+		out, err := cli(t, "jobs", "status", "-store", storeDir, "-id", liveID).Output()
+		var st jobs.Status
+		if err == nil {
+			err = json.Unmarshal(out, &st)
+		}
+		if err != nil {
+			t.Fatalf("jobs status -id %s: %v (%s)", liveID, err, out)
+		}
+		return st.State
+	}
+	if got := stateOf(); got != jobs.StateRunning {
+		t.Errorf("running job while serve holds the store reads %q, want %q", got, jobs.StateRunning)
+	}
+	serve.Process.Kill()
+	serve.Wait()
+	if got := stateOf(); got != jobs.StateInterrupted {
+		t.Errorf("running job after serve died reads %q, want %q", got, jobs.StateInterrupted)
+	}
+
+	// A directory that never held a job lists none.
+	if out, err := cli(t, "jobs", "status", "-store", t.TempDir()).Output(); err != nil || strings.TrimSpace(string(out)) != "null" {
+		t.Errorf("jobs status on an empty directory -> %q, %v", out, err)
 	}
 }
 

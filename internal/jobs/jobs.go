@@ -14,16 +14,16 @@
 //
 // Layout under the store directory:
 //
-//	photoloop-store.log          the shared result store (package store;
-//	photoloop-store.NNN.log      one segment per concurrent writer)
+//	photoloop-store.log          the result store (package store; one
+//	                             writer, locked by its pid)
 //	jobs/<id>/spec.json          the submitted spec
 //	jobs/<id>/state.json         live status (atomically replaced)
 //	jobs/<id>/points.ndjson      one JSON point per line, completion order
 //	jobs/<id>/result.json        final artifact (atomically written)
 //
 // A Manager with a Shard coordinator additionally fans each run's task
-// grid out to worker processes (package shard) that warm the same store;
-// see run.go and shard.go in this package.
+// grid out to worker processes (package shard) whose results land in the
+// manager's store; see run.go and shard.go in this package.
 //
 // `photoloop jobs` drives a Manager from the command line and Attach
 // serves the same engine over HTTP (POST /v1/jobs and friends).
@@ -98,7 +98,7 @@ type Status struct {
 	Shards *shard.Progress `json:"shards,omitempty"`
 }
 
-// Manager owns one store directory: the shared result store plus the job
+// Manager owns one store directory: the result store plus the job
 // records under jobs/. It is safe for concurrent use; each job runs at
 // most once per process at a time.
 type Manager struct {
@@ -107,7 +107,7 @@ type Manager struct {
 	// Workers caps each job's point-level pool (0 = engine default).
 	Workers int
 	// Shard, when set, fans shardable jobs out across worker processes
-	// through a range-lease coordinator: workers warm the shared store,
+	// through a range-lease coordinator: workers warm the manager's store,
 	// and the artifact is then assembled by the unchanged local path
 	// (see run.go). Warm-start sweeps cannot shard and run locally.
 	Shard *shard.Coordinator
@@ -177,9 +177,9 @@ func (sp *Spec) id() (string, error) {
 func (m *Manager) jobDir(id string) string { return filepath.Join(m.dir, "jobs", id) }
 
 func (m *Manager) specPath(id string) string   { return filepath.Join(m.jobDir(id), "spec.json") }
-func (m *Manager) statePath(id string) string  { return filepath.Join(m.jobDir(id), "state.json") }
 func (m *Manager) pointsPath(id string) string { return filepath.Join(m.jobDir(id), "points.ndjson") }
-func (m *Manager) resultPath(id string) string { return filepath.Join(m.jobDir(id), "result.json") }
+func statePath(dir, id string) string          { return filepath.Join(dir, "jobs", id, "state.json") }
+func resultPath(dir, id string) string         { return filepath.Join(dir, "jobs", id, "result.json") }
 
 // Submit registers a spec as a job and returns its status. Submission is
 // idempotent: a spec already submitted (same content address) returns the
@@ -233,8 +233,22 @@ func (m *Manager) Spec(id string) (*Spec, error) {
 // Status reads a job's state. A state file claiming "running" without a
 // live runner in this process is reported as interrupted — the owning
 // process died and the job is resumable.
-func (m *Manager) Status(id string) (*Status, error) {
-	buf, err := os.ReadFile(m.statePath(id))
+func (m *Manager) Status(id string) (*Status, error) { return ReadStatus(m.dir, id, m.isRunning) }
+
+// List returns every job's status, sorted by ID.
+func (m *Manager) List() ([]*Status, error) { return ListStatus(m.dir, m.isRunning) }
+
+// Result returns a finished job's artifact bytes (the same document
+// `photoloop sweep`/`photoloop explore` would have written, with the
+// run-dependent cache counters zeroed — see run.go).
+func (m *Manager) Result(id string) ([]byte, error) { return ReadResult(m.dir, id) }
+
+// ReadStatus reads job id's state from the store directory dir without
+// opening the result store, so it works while another process holds it.
+// A state file claiming "running" is reported as interrupted unless
+// running(id) says a live runner exists; a nil running means none does.
+func ReadStatus(dir, id string, running func(id string) bool) (*Status, error) {
+	buf, err := os.ReadFile(statePath(dir, id))
 	if err != nil {
 		return nil, fmt.Errorf("jobs: job %s: %w", id, err)
 	}
@@ -242,15 +256,20 @@ func (m *Manager) Status(id string) (*Status, error) {
 	if err := json.Unmarshal(buf, &st); err != nil {
 		return nil, fmt.Errorf("jobs: job %s: decoding state: %w", id, err)
 	}
-	if st.State == StateRunning && m.runningChan(id) == nil {
+	if st.State == StateRunning && (running == nil || !running(id)) {
 		st.State = StateInterrupted
 	}
 	return &st, nil
 }
 
-// List returns every job's status, sorted by ID.
-func (m *Manager) List() ([]*Status, error) {
-	entries, err := os.ReadDir(filepath.Join(m.dir, "jobs"))
+// ListStatus returns the status of every job under the store directory
+// dir, sorted by ID, reading them as ReadStatus does. A directory that
+// never held a job lists none.
+func ListStatus(dir string, running func(id string) bool) ([]*Status, error) {
+	entries, err := os.ReadDir(filepath.Join(dir, "jobs"))
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, fmt.Errorf("jobs: %w", err)
 	}
@@ -259,7 +278,7 @@ func (m *Manager) List() ([]*Status, error) {
 		if !e.IsDir() {
 			continue
 		}
-		st, err := m.Status(e.Name())
+		st, err := ReadStatus(dir, e.Name(), running)
 		if err != nil {
 			continue // half-created record; skip rather than fail the listing
 		}
@@ -269,16 +288,18 @@ func (m *Manager) List() ([]*Status, error) {
 	return out, nil
 }
 
-// Result returns a finished job's artifact bytes (the same document
-// `photoloop sweep`/`photoloop explore` would have written, with the
-// run-dependent cache counters zeroed — see run.go).
-func (m *Manager) Result(id string) ([]byte, error) {
-	buf, err := os.ReadFile(m.resultPath(id))
+// ReadResult returns the artifact of job id under the store directory
+// dir without opening the result store.
+func ReadResult(dir, id string) ([]byte, error) {
+	buf, err := os.ReadFile(resultPath(dir, id))
 	if err != nil {
 		return nil, fmt.Errorf("jobs: job %s has no result (state: see status): %w", id, err)
 	}
 	return buf, nil
 }
+
+// isRunning reports whether a run of the job is live in this process.
+func (m *Manager) isRunning(id string) bool { return m.runningChan(id) != nil }
 
 // runningChan returns the done channel of a live in-process run, or nil.
 func (m *Manager) runningChan(id string) chan struct{} {
@@ -293,7 +314,7 @@ func (m *Manager) writeState(st *Status) error {
 	if err != nil {
 		return fmt.Errorf("jobs: encoding state: %w", err)
 	}
-	return writeFileAtomic(m.statePath(st.ID), append(buf, '\n'))
+	return writeFileAtomic(statePath(m.dir, st.ID), append(buf, '\n'))
 }
 
 // writeFileAtomic replaces path via a same-directory temp file and

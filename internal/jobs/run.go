@@ -87,7 +87,7 @@ func (m *Manager) Run(ctx context.Context, id string) (*Status, error) {
 		return st, runErr
 	}
 
-	// Each attempt gets a fresh memory tier over the shared store: the
+	// Each attempt gets a fresh memory tier over the store: the
 	// attempt's TierStats then describe exactly this run.
 	cache := mapper.NewCache()
 	cache.SetPersister(m.store)
@@ -184,7 +184,7 @@ func (m *Manager) Run(ctx context.Context, id string) (*Status, error) {
 	if writeErr != nil {
 		return fail(fmt.Errorf("jobs: streaming points: %w", writeErr))
 	}
-	if err := writeFileAtomic(m.resultPath(id), artifact.Bytes()); err != nil {
+	if err := writeFileAtomic(resultPath(m.dir, id), artifact.Bytes()); err != nil {
 		return fail(err)
 	}
 	ts := cache.TierStats()

@@ -39,9 +39,9 @@ const streamPollInterval = 100 * time.Millisecond
 func Attach(s *sweep.Server, m *Manager) {
 	// A sharding manager also speaks the worker protocol: lease,
 	// heartbeat, complete, fail, and per-job shard progress (package
-	// shard documents the endpoints), plus the shared-nothing result
-	// exchange — upload, warm-key digest, single-result fetch — that
-	// remote workers without a shared store directory talk through.
+	// shard documents the endpoints), plus the result exchange —
+	// upload, warm-key digest, single-result fetch — that remote workers
+	// talk through.
 	// Jobs clients are unaffected.
 	if m.Shard != nil {
 		shard.AttachHTTP(s.Mount, m.Shard)

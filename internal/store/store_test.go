@@ -395,236 +395,126 @@ func TestStoreDedupesKeys(t *testing.T) {
 	}
 }
 
-// TestMultiWriterSegments: two handles on one directory claim distinct
-// segments, write disjoint keys, and a fresh Open merges both.
-func TestMultiWriterSegments(t *testing.T) {
-	dir := t.TempDir()
-	a, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.SegmentName() == b.SegmentName() {
-		t.Fatalf("both writers claimed %s", a.SegmentName())
-	}
-	keysA := storeBests(t, a, 3, 101)
-	keysB := storeBests(t, b, 3, 202)
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	merged, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer merged.Close()
-	if merged.Len() != 6 {
-		t.Fatalf("merged store has %d keys, want 6", merged.Len())
-	}
-	if merged.Segments() < 2 {
-		t.Fatalf("merged store spans %d segments, want >= 2", merged.Segments())
-	}
-	for _, k := range append(keysA, keysB...) {
-		if _, ok := merged.Load(k); !ok {
-			t.Fatalf("key %v lost in merge", k)
-		}
-	}
-}
-
-// TestRefreshSeesOtherWriters: records appended by a concurrent writer
-// become visible after Refresh without reopening — the coordinator's view
-// of worker progress.
-func TestRefreshSeesOtherWriters(t *testing.T) {
-	dir := t.TempDir()
-	coord, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	worker, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := storeBests(t, worker, 4, 303)
-	if _, ok := coord.Load(keys[0]); ok {
-		t.Fatal("unrefreshed handle served a record appended after its scan")
-	}
-	if err := coord.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys {
-		if _, ok := coord.Load(k); !ok {
-			t.Fatalf("refreshed handle misses %v", k)
-		}
-	}
-	// More appends to the already-known segment: Refresh resumes at the
-	// previous frontier, not from scratch.
-	more := storeBests(t, worker, 2, 404)
-	if err := coord.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range more {
-		if _, ok := coord.Load(k); !ok {
-			t.Fatalf("incremental refresh misses %v", k)
-		}
-	}
-	if err := worker.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFirstWriteWinsAcrossSegments: the same key written by two writers
-// resolves to the earlier segment's record deterministically.
-func TestFirstWriteWinsAcrossSegments(t *testing.T) {
-	dir := t.TempDir()
-	a, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := mapper.Key{Arch: 9, Layer: 9, Opts: 9}
-	inPrimary := randomBest(rand.New(rand.NewSource(1)))
-	inSecond := randomBest(rand.New(rand.NewSource(2)))
-	// Each handle believes the key absent (neither refreshed), so both
-	// append — the racing-writers case.
-	if err := a.Store(k, inPrimary); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Store(k, inSecond); err != nil {
-		t.Fatal(err)
-	}
-	a.Close()
-	b.Close()
-
-	merged, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer merged.Close()
-	if merged.Len() != 1 {
-		t.Fatalf("duplicate key not deduped: len = %d", merged.Len())
-	}
-	got, ok := merged.Load(k)
-	if !ok {
-		t.Fatal("key lost")
-	}
-	if !reflect.DeepEqual(got, inPrimary) {
-		t.Fatal("merge did not prefer the first segment's record")
-	}
-}
-
-// TestStaleLockReclaimed: a lock file whose pid is dead (simulated with
-// an impossible pid) must not block Open from claiming the primary.
+// TestStaleLockReclaimed: a lock file left by a writer that is gone
+// (here an impossible pid) must not block Open, which stamps the lock
+// with its own pid.
 func TestStaleLockReclaimed(t *testing.T) {
-	dir := t.TempDir()
-	lock := filepath.Join(dir, primaryName+lockSuffix)
-	if err := os.WriteFile(lock, []byte("999999999\n"), 0o666); err != nil {
-		t.Fatal(err)
+	for _, stale := range []int{999999999, os.Getpid()} {
+		// The second case is a writer killed and restarted under the same
+		// pid (PID 1 in a container): its own pid in a lock no Store holds
+		// is stale too.
+		dir := t.TempDir()
+		lock := filepath.Join(dir, primaryName+lockSuffix)
+		if err := os.WriteFile(lock, []byte(strconv.Itoa(stale)+"\n"), 0o666); err != nil {
+			t.Fatal(err)
+		}
+		if _, held := Held(dir); held {
+			t.Fatalf("pid %d: leftover lock file reads as held", stale)
+		}
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatalf("pid %d: %v", stale, err)
+		}
+		buf, err := os.ReadFile(lock)
+		st.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.TrimSpace(string(buf)) != strconv.Itoa(os.Getpid()) {
+			t.Fatalf("reclaimed lock holds %q, want our pid", buf)
+		}
+	}
+}
+
+// TestLiveLockRefused: a second Open of a store whose lock a live
+// process holds (our own) fails, and the error names the holding pid.
+// Held reports the holder without creating anything, and a closed store
+// opens again.
+func TestLiveLockRefused(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	if _, held := Held(dir); held {
+		t.Fatal("missing directory reads as held")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("Held created the store directory: %v", err)
 	}
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	if st.SegmentName() != primaryName {
-		t.Fatalf("stale lock pushed writer to %s, want %s", st.SegmentName(), primaryName)
+	if pid, held := Held(dir); !held || pid != os.Getpid() {
+		t.Fatalf("Held = %d, %v; want %d, true", pid, held, os.Getpid())
 	}
-	buf, err := os.ReadFile(lock)
-	if err != nil {
+	again, err := Open(dir)
+	if err == nil {
+		again.Close()
+		t.Fatal("second Open of a held store succeeded")
+	}
+	if want := "locked by pid " + strconv.Itoa(os.Getpid()); !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open error %q does not say %q", err, want)
+	}
+	// The refused Open must not have released the holder's lock.
+	if _, err := Open(dir); err == nil {
+		t.Fatal("lock lost after a refused Open")
+	}
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if strings.TrimSpace(string(buf)) != strconv.Itoa(os.Getpid()) {
-		t.Fatalf("reclaimed lock holds %q, want our pid", buf)
+	if _, held := Held(dir); held {
+		t.Fatal("closed store reads as held")
 	}
+	again, err = Open(dir)
+	if err != nil {
+		t.Fatalf("reopen after Close: %v", err)
+	}
+	again.Close()
 }
 
-// TestLiveLockSkipped: a lock held by a live pid (our own) diverts a new
-// writer to the next segment, and the skip diagnostic names the pid.
-func TestLiveLockSkipped(t *testing.T) {
+// TestLegacySegmentRefused: a numbered segment of the older multi-writer
+// layout that holds records makes Open fail with an error naming the
+// file, so its records are never dropped without notice. One holding
+// only the header (what a second writer's Open used to leave) has no
+// records to lose and is ignored.
+func TestLegacySegmentRefused(t *testing.T) {
+	// A real segment: a log with one record, renamed.
+	src := t.TempDir()
+	st, err := Open(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeBests(t, st, 1, 1)
+	st.Close()
+	record, err := os.ReadFile(filepath.Join(src, primaryName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	dir := t.TempDir()
-	lock := filepath.Join(dir, primaryName+lockSuffix)
-	if err := acquireLock(lock); err != nil {
+	legacy := filepath.Join(dir, "photoloop-store.001.log")
+	if err := os.WriteFile(legacy, record, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	defer releaseLock(lock)
-	if err := acquireLock(lock); err == nil {
-		t.Fatal("second acquire of a live lock succeeded")
-	} else if !strings.Contains(err.Error(), strconv.Itoa(os.Getpid())) {
-		t.Fatalf("lock error %q does not name the holding pid", err)
+	st, err = Open(dir)
+	if err == nil {
+		st.Close()
+		t.Fatal("store with a legacy segment opened")
 	}
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	if !strings.Contains(err.Error(), legacy) {
+		t.Fatalf("Open error %q does not name %s", err, legacy)
 	}
-	defer st.Close()
-	if st.SegmentName() == primaryName {
-		t.Fatal("writer claimed a segment whose lock is held")
-	}
-}
-
-// TestForeignSegmentCorruptionIsolated: corruption inside another
-// writer's segment costs only that segment's suffix — the file is never
-// truncated (it isn't ours), and our own segment keeps working.
-func TestForeignSegmentCorruptionIsolated(t *testing.T) {
-	dir := t.TempDir()
-	a, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second := b.SegmentName()
-	keysB := storeBests(t, b, 4, 505)
-	a.Close()
-	b.Close()
-
-	path := filepath.Join(dir, second)
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[len(buf)/2] ^= 0x40
-	if err := os.WriteFile(path, buf, 0o666); err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(filepath.Join(dir, primaryName+lockSuffix)); !os.IsNotExist(err) {
+		t.Fatalf("refused Open left a lock behind: %v", err)
 	}
 
-	st, err := Open(dir) // claims the primary; the corrupted file is foreign
+	if err := os.WriteFile(legacy, logMagic, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(dir)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("header-only legacy segment refused: %v", err)
 	}
-	defer st.Close()
-	if st.SegmentName() != primaryName {
-		t.Fatalf("writer claimed %s, want primary", st.SegmentName())
-	}
-	if st.Recovered() != 0 {
-		t.Fatal("foreign corruption charged to own-segment recovery")
-	}
-	if _, ok := st.Load(keysB[0]); !ok {
-		t.Fatal("record before the foreign corruption lost")
-	}
-	if _, ok := st.Load(keysB[3]); ok {
-		t.Fatal("record past the foreign corruption served")
-	}
-	if info, err := os.Stat(path); err != nil || info.Size() != int64(len(buf)) {
-		t.Fatalf("foreign segment truncated: %v bytes, want %d", info.Size(), len(buf))
-	}
-	// The dropped keys recompute into our own segment and serve again.
-	fresh := randomBest(rand.New(rand.NewSource(6)))
-	if err := st.Store(keysB[3], fresh); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := st.Load(keysB[3]); !ok || !reflect.DeepEqual(got, fresh) {
-		t.Fatal("recomputed record not served")
+	st.Close()
+	if buf, err := os.ReadFile(legacy); err != nil || !bytes.Equal(buf, logMagic) {
+		t.Fatalf("header-only segment changed: %q, %v", buf, err)
 	}
 }
