@@ -219,7 +219,8 @@ func TestSessionSearchMatchesOneShot(t *testing.T) {
 
 // TestLowerBoundAndPartialZeroAllocs extends the allocation-free contract
 // to the search accelerators: the admissible lower bound and the
-// shared-prefix delta evaluation must not allocate on a NewScratch.
+// shared-prefix delta evaluation (Stage claiming a shared prefix, then
+// FinishStaged) must not allocate on a NewScratch.
 func TestLowerBoundAndPartialZeroAllocs(t *testing.T) {
 	a, err := photoloop.Albireo(photoloop.Aggressive).Build()
 	if err != nil {
@@ -253,12 +254,15 @@ func TestLowerBoundAndPartialZeroAllocs(t *testing.T) {
 			if i > 0 {
 				shared = 1
 			}
-			if err := c.EvaluatePartial(scratch, m, res, opts, shared); err != nil {
+			if _, err := c.Stage(scratch, m, opts, shared, shared, math.Inf(1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.FinishStaged(scratch, res, opts); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}); allocs != 0 {
-		t.Errorf("EvaluatePartial allocated %.1f times per run, want 0", allocs)
+		t.Errorf("delta Stage+FinishStaged allocated %.1f times per run, want 0", allocs)
 	}
 }
 

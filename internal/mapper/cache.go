@@ -210,8 +210,8 @@ func (o *Options) fingerprint() uint64 {
 		h.Mix(seed.Fingerprint())
 	}
 	// Warm starts change which candidates join the pool, so they are part
-	// of the search identity. (noPrune/noDelta deliberately are not: both
-	// are proven behavior preserving.)
+	// of the search identity. (The oracle toggle deliberately is not: the
+	// staged path is proven to return the oracle's Best.)
 	h.Mix(uint64(len(o.WarmStarts)))
 	for _, w := range o.WarmStarts {
 		if w != nil {

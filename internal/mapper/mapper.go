@@ -125,16 +125,12 @@ type Options struct {
 	// results are bit-identical with or without a cache.
 	Cache *Cache
 
-	// noPrune, noDelta and noBatch disable the admissible-lower-bound
-	// gate, the shared-prefix delta evaluation, and the fused
-	// stage-then-finish scoring path (noBatch falls back to separate
-	// LowerBound + EvaluatePartial calls in the legacy order). All are
-	// behavior-preserving accelerations, so these exist only for the
-	// equivalence tests that prove it; they are deliberately left out of
-	// the cache fingerprint.
-	noPrune bool
-	noDelta bool
-	noBatch bool
+	// oracle scores every candidate with a plain validated EvaluateInto:
+	// no bound gate, no shared-prefix reuse, no deferred validation. The
+	// staged path is a behavior-preserving acceleration of it, so this
+	// exists only for the equivalence tests that prove it and is
+	// deliberately left out of the cache fingerprint.
+	oracle bool
 }
 
 func (o *Options) withDefaults() Options {
@@ -183,11 +179,11 @@ type Best struct {
 // candidates = Evaluations holds per search (warm starts excepted).
 type SearchStats struct {
 	// Pruned counts candidates discarded because the admissible lower
-	// bound (model.Compiled.LowerBound) proved they could not beat the
-	// incumbent; they were never fully evaluated.
+	// bound (returned by model.Compiled.Stage) proved they could not beat
+	// the incumbent; they were never fully evaluated.
 	Pruned int
 	// DeltaEvals counts full evaluations that reused shared-prefix state
-	// from the previous evaluation (model.Compiled.EvaluatePartial with a
+	// from the previously staged candidate (model.Compiled.Stage with a
 	// non-zero shared level count).
 	DeltaEvals int
 	// FullEvals counts evaluations computed from scratch.
@@ -200,15 +196,6 @@ type SearchStats struct {
 	// budget (see Options.WarmStarts).
 	WarmStartEvals int
 }
-
-// Adaptive lower-bound gating: the bound check runs unconditionally for
-// the first lbProbation candidates, then stays enabled only while at least
-// one in lbKeepRate checks prunes. Gating never changes results — a
-// skipped check just means the candidate is fully evaluated.
-const (
-	lbProbation = 64
-	lbKeepRate  = 20
-)
 
 func (s *SearchStats) add(o SearchStats) {
 	s.Pruned += o.Pruned
@@ -780,7 +767,7 @@ func levelConfigEqual(a, b *mapping.LevelMapping) bool {
 }
 
 // levelsShared counts the leading storage levels on which two mappings are
-// configured identically — the delta EvaluatePartial may reuse.
+// configured identically — the shared prefix Stage may reuse.
 func levelsShared(prev, m *mapping.Mapping) int {
 	if prev == nil || len(prev.Levels) != len(m.Levels) {
 		return 0
@@ -795,10 +782,10 @@ func levelsShared(prev, m *mapping.Mapping) int {
 
 // searchWorker runs one worker's slice of the search: seeds, warm starts,
 // the (reordered) random exploration stream, and the hill climb. The
-// returned Best is bit-identical to the legacy always-evaluate worker for
-// the same (seed, budget) — the lower-bound gate only discards candidates
+// returned Best is bit-identical to the oracle's (Options.oracle) for the
+// same (seed, budget) — the lower-bound gate only discards candidates
 // that provably cannot win, and delta evaluation reproduces full
-// evaluations exactly (both properties are pinned by equivalence tests).
+// evaluations exactly (TestPrunedSearchMatchesUnprunedSampler pins both).
 func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, rng *rand.Rand, budget int, warm []*mapping.Mapping) (best *Best, evals int, st SearchStats) {
 	if budget <= 0 {
 		return nil, 0, st
@@ -813,10 +800,9 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 
 	// cutoff is the pruning incumbent's result: phases 0-1 track the
 	// worker best, the hill climb its (only improving) cursor. prevEval
-	// holds the delta baseline — the last staged mapping on the batched
-	// path, the last successfully evaluated one on the noBatch reference
-	// path; its content must stay untouched until the next evaluation, so
-	// candidate materialization ping-pongs between two buffers.
+	// holds the delta baseline, the last staged mapping; its content must
+	// stay untouched until the next evaluation, so candidate
+	// materialization ping-pongs between two buffers.
 	var cutoff *model.Result
 	var prevEval *mapping.Mapping
 	// lastSpatialKey identifies the spatial configuration of the last
@@ -828,7 +814,6 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 	// so a key match lets Stage skip the spatial-factor and instance
 	// resolution outright — no per-level comparison needed.
 	lastSpatialKey := int64(-1)
-	lbTried, lbPruned := 0, 0
 	bufA, bufB := ws.bufA, ws.bufB
 	matBuf := func() *mapping.Mapping {
 		if prevEval == bufA {
@@ -846,56 +831,8 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 		return &assignB
 	}
 
-	// lbGate reports whether the adaptive pruning gate is open: the bound
-	// check runs unconditionally through a probation window, then stays on
-	// only while it keeps a minimum hit rate. Gating never changes results
-	// — a skipped check just means the candidate is fully evaluated. Only
-	// the reference path uses it: there the bound is a separate LowerBound
-	// call worth skipping when it stops paying off, whereas the batched
-	// path gets the bound as a byproduct of staging and always checks it.
-	lbGate := func() bool {
-		return cutoff != nil && !o.noPrune &&
-			(lbTried < lbProbation || lbPruned*lbKeepRate >= lbTried)
-	}
-
-	// tryRef is the reference scoring path (noBatch): separate LowerBound
-	// and EvaluatePartial calls in the legacy order — validate, record,
-	// bound gate, delta evaluation. The batched path below must return a
-	// bit-identical Best for the same candidate stream; the equivalence
-	// tests pin it against this.
-	tryRef := func(m *mapping.Mapping, fp uint64, doValidate bool) *model.Result {
-		if doValidate && !m.Valid(a, l) {
-			st.Invalid++
-			return nil
-		}
-		seen[fp] = struct{}{}
-		if lbGate() {
-			lbTried++
-			if boundScore(o.Objective, c.LowerBound(scratch, m, evalOpts)) > Score(o.Objective, cutoff) {
-				lbPruned++
-				st.Pruned++
-				return nil
-			}
-		}
-		shared := 0
-		if !o.noDelta {
-			shared = levelsShared(prevEval, m)
-		}
-		if err := c.EvaluatePartial(scratch, m, res, evalOpts, shared); err != nil {
-			prevEval = nil
-			return nil
-		}
-		if shared > 0 {
-			st.DeltaEvals++
-		} else {
-			st.FullEvals++
-		}
-		prevEval = m
-		return res
-	}
-
 	// retainValidate marks the last scored candidate as still owing its
-	// full validation: the batched path defers m.Valid to retention time
+	// full validation: the staged path defers m.Valid to retention time
 	// (the accept sites below), because Valid rejects almost nothing
 	// (~2 of 360 candidates on the seeded bench) yet walking every
 	// candidate through it cost ~11% of search. A candidate that is never
@@ -912,21 +849,20 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 	// or failed deterministically, and can never beat the incumbent, so
 	// skipping it is behavior preserving).
 	//
-	// The default path stages each candidate once (model.Compiled.Stage):
-	// one shared-prefix core resolution serves the admissible bound, and —
+	// Each candidate is staged once (model.Compiled.Stage): one
+	// shared-prefix core resolution serves the admissible bound, and —
 	// only for candidates the bound cannot discard — the finishing passes
-	// (FinishStaged). Pruned candidates therefore cost a core resolution
-	// instead of a bound plus a full evaluation's worth of resolution, and
-	// they still advance the delta-evaluation chain. Pruning needs no
+	// (FinishStaged). Pruned candidates therefore cost a core resolution,
+	// and they still advance the delta-evaluation chain. Pruning needs no
 	// validity and full validation is deferred to retention (see
 	// retainValidate), so an invalid candidate lands in Pruned or the
 	// eval buckets unless it is retained; neither kind can become the
 	// incumbent — Best is unaffected, only the stats split differs from
-	// the reference path. Deferral also means an invalid schedule's
-	// fingerprint now enters seen (the reference path leaves it out); a
+	// the oracle, which validates up front. Deferral also means an invalid
+	// schedule's fingerprint enters seen (the oracle leaves it out); a
 	// later distinct schedule is shadowed only by a 64-bit fingerprint
 	// collision, which the dedup already accepts for valid schedules.
-	try := func(m *mapping.Mapping, charge, mustValidate bool, spatialKey int64) *model.Result {
+	try := func(m *mapping.Mapping, charge bool, spatialKey int64) *model.Result {
 		retainValidate = false
 		if charge {
 			if evals >= budget {
@@ -934,8 +870,7 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 			}
 			evals++
 		}
-		doValidate := validate || mustValidate
-		if doValidate {
+		if validate {
 			// Fast subset of Valid: temporal loops on a capped level (an
 			// analog accumulator, a ring bank) can never validate, and
 			// hill-climb moves produce them constantly. Rejecting before
@@ -953,26 +888,31 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 			st.Duplicates++
 			return nil
 		}
-		if o.noBatch {
-			return tryRef(m, fp, doValidate)
-		}
-		shared, sfShared := 0, 0
-		if !o.noDelta {
-			shared = levelsShared(prevEval, m)
-			if spatialKey >= 0 && spatialKey == lastSpatialKey {
-				sfShared = n
+		if o.oracle {
+			if validate && !m.Valid(a, l) {
+				st.Invalid++
+				return nil
 			}
+			seen[fp] = struct{}{}
+			if err := c.EvaluateInto(scratch, m, res, evalOpts); err != nil {
+				return nil
+			}
+			st.FullEvals++
+			return res
 		}
-		// The staged bound is a byproduct of the core resolution, so unlike
-		// the reference path there is no adaptive gate here: checking it is
-		// free, and it always prunes when it can. When the objective is
-		// pure energy, the incumbent's score doubles as Stage's early-exit
-		// threshold: the bound stops accumulating once the partial sum
-		// alone proves the prune. The returned (partial) bound then exceeds
-		// the cutoff exactly when the full bound would, so the decision
-		// below is unchanged. Other objectives need the full bound (their
-		// score mixes in cycles).
-		prune := cutoff != nil && !o.noPrune
+		shared, sfShared := levelsShared(prevEval, m), 0
+		if spatialKey >= 0 && spatialKey == lastSpatialKey {
+			sfShared = n
+		}
+		// The staged bound is a byproduct of the core resolution, so
+		// checking it is free and it always prunes when it can. When the
+		// objective is pure energy, the incumbent's score doubles as
+		// Stage's early-exit threshold: the bound stops accumulating once
+		// the partial sum alone proves the prune. The returned (partial)
+		// bound then exceeds the cutoff exactly when the full bound would,
+		// so the decision below is unchanged. Other objectives need the
+		// full bound (their score mixes in cycles).
+		prune := cutoff != nil
 		limitPJ := math.Inf(1)
 		if prune && o.Objective == MinEnergy {
 			limitPJ = cutoff.TotalPJ
@@ -985,6 +925,7 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 		}
 		prevEval = m
 		lastSpatialKey = spatialKey
+		seen[fp] = struct{}{}
 		// Admissible pruning: skip the finishing passes only when the
 		// bound proves the candidate cannot strictly beat the incumbent.
 		// The check must be a strict inequality — a candidate whose true
@@ -992,10 +933,8 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 		// tie-break.
 		if prune && boundScore(o.Objective, bound) > Score(o.Objective, cutoff) {
 			st.Pruned++
-			seen[fp] = struct{}{}
 			return nil
 		}
-		seen[fp] = struct{}{}
 		if err := c.FinishStaged(scratch, res, evalOpts); err != nil {
 			prevEval = nil
 			return nil
@@ -1007,7 +946,7 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 			st.FullEvals++
 			retainDelta = false
 		}
-		retainValidate = doValidate
+		retainValidate = validate
 		return res
 	}
 	// retain runs the deferred full validation on a candidate about to be
@@ -1043,11 +982,11 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 	// Seeds are tried in place: nothing below mutates a candidate, and
 	// consider clones on retention.
 	for _, seed := range o.Seeds {
-		consider(seed, try(seed, true, false, -1))
+		consider(seed, try(seed, true, -1))
 	}
 	for _, w := range warm {
 		// Already validated once in search(); try only dedups and scores.
-		r := try(w, false, false, -1)
+		r := try(w, false, -1)
 		if r != nil {
 			st.WarmStartEvals++
 		}
@@ -1072,7 +1011,7 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 			m := matBuf()
 			outerInto(a, m, l, assign, s.minLv)
 			*bufAssign(m) = int32(ai)
-			consider(m, try(m, true, false, int64(ai)))
+			consider(m, try(m, true, int64(ai)))
 		}
 	}
 
@@ -1121,7 +1060,7 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 			ba := bufAssign(m)
 			s.materialize(m, &cands[ci], *ba == cands[ci].assign)
 			*ba = cands[ci].assign
-			consider(m, try(m, true, false, int64(cands[ci].assign)))
+			consider(m, try(m, true, int64(cands[ci].assign)))
 		}
 	}
 
@@ -1139,7 +1078,7 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 			m := matBuf()
 			outerInto(a, m, l, assign, s.minLv)
 			*bufAssign(m) = int32(ai)
-			consider(m, try(m, true, false, int64(ai)))
+			consider(m, try(m, true, int64(ai)))
 		}
 	}
 	if best == nil {
@@ -1160,7 +1099,7 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 			copyMapping(nb, cur.Mapping)
 			*bufAssign(nb) = -1
 			applyEdit(nb, e)
-			r := try(nb, true, false, climbKey)
+			r := try(nb, true, climbKey)
 			if r == nil {
 				continue
 			}

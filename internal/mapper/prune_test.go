@@ -114,11 +114,12 @@ func compareBests(t *testing.T, label string, got, want *Best) {
 	}
 }
 
-// TestPrunedSearchMatchesUnprunedSampler is the tentpole equivalence test:
-// with pruning and delta evaluation disabled the worker degenerates to the
-// legacy always-evaluate sampler, and the optimized search must return a
-// bit-identical Best for every configuration — electrical and photonic
-// architectures, all objectives, several (budget, workers, seed) splits.
+// TestPrunedSearchMatchesUnprunedSampler is the search equivalence test:
+// the oracle worker (Options.oracle) is the plain always-evaluate sampler,
+// and the staged search — bound pruning, shared-prefix delta evaluation,
+// deferred validation — must return a bit-identical Best for every
+// configuration: electrical and photonic architectures, all objectives,
+// several (budget, workers, seed) splits.
 func TestPrunedSearchMatchesUnprunedSampler(t *testing.T) {
 	archs := map[string]*arch.Arch{
 		"electrical": testArch(t, 1<<20),
@@ -159,26 +160,26 @@ func TestPrunedSearchMatchesUnprunedSampler(t *testing.T) {
 					t.Fatalf("%s/%s: %v", name, l.Name, err)
 				}
 				ref := opts
-				ref.noPrune, ref.noDelta, ref.noBatch = true, true, true
+				ref.oracle = true
 				unpruned, err := s.Search(&l, ref)
 				if err != nil {
 					t.Fatalf("%s/%s ref: %v", name, l.Name, err)
 				}
-				compareBests(t, name+"/"+l.Name, pruned, unpruned)
+				compareBests(t, fmt.Sprintf("%s/%s/%+v", name, l.Name, c), pruned, unpruned)
 				if unpruned.Stats.Pruned != 0 || unpruned.Stats.DeltaEvals != 0 {
-					t.Fatalf("reference sampler pruned or delta-evaluated: %+v", unpruned.Stats)
+					t.Fatalf("oracle pruned or delta-evaluated: %+v", unpruned.Stats)
 				}
 			}
 		}
 	}
 }
 
-// TestBatchedSearchMatchesReferencePath is the PR 6 tentpole equivalence
-// test: the fused stage-then-finish scoring path (one shared-prefix core
-// resolution serving both the admissible bound and the finishing passes)
-// must return a bit-identical Best to the unfused reference path — separate
-// LowerBound + EvaluatePartial calls in the legacy order — at 1, 2 and 8
-// workers, with and without pruning/delta in play.
+// TestBatchedSearchMatchesReferencePath checks the staged scoring path (one
+// shared-prefix core resolution serving both the admissible bound and the
+// finishing passes) against the oracle always-evaluate sampler at 1, 2 and 8
+// workers under both objectives the staged path treats differently:
+// MinEnergy feeds the incumbent into Stage's early exit, MinEDP needs the
+// exact bound.
 func TestBatchedSearchMatchesReferencePath(t *testing.T) {
 	archs := map[string]*arch.Arch{
 		"electrical": testArch(t, 1<<20),
@@ -197,18 +198,18 @@ func TestBatchedSearchMatchesReferencePath(t *testing.T) {
 			for _, workers := range []int{1, 2, 8} {
 				for _, obj := range []Objective{MinEnergy, MinEDP} {
 					opts := Options{Objective: obj, Budget: 320, Seed: 3, Workers: workers}
-					batched, err := s.Search(&l, opts)
+					staged, err := s.Search(&l, opts)
 					if err != nil {
 						t.Fatalf("%s/%s: %v", name, l.Name, err)
 					}
 					ref := opts
-					ref.noBatch = true
-					unbatched, err := s.Search(&l, ref)
+					ref.oracle = true
+					oracle, err := s.Search(&l, ref)
 					if err != nil {
 						t.Fatalf("%s/%s ref: %v", name, l.Name, err)
 					}
 					label := fmt.Sprintf("%s/%s/w%d/%v", name, l.Name, workers, obj)
-					compareBests(t, label, batched, unbatched)
+					compareBests(t, label, staged, oracle)
 				}
 			}
 		}

@@ -101,9 +101,11 @@ func (e *Engine) buildBoundTables() {
 // Result.Cycles of any successful EvaluateInto of the same mapping and
 // options. It needs only the mapping's spatial configuration, tile extents
 // and padded iteration count — no loop-nest walk, no per-usage charging —
-// which makes it several times cheaper than a full evaluation. Compiled.Stage
-// produces the identical bound fused with the evaluation's own core
-// resolution, which is how the mapper hot loop obtains it.
+// which makes it several times cheaper than a full evaluation. It is
+// exactly Stage with no shared prefix, no validation and no early exit, so
+// the bound tested here is the bound the mapper prunes with. Like Stage,
+// it leaves s staged: m becomes the next delta baseline, and a
+// FinishStaged may follow.
 //
 // The bound combines terms that are exact (the compute-bound cycle count,
 // per-MAC compute energy, streaming-station refill traffic, compute
@@ -121,16 +123,16 @@ func (e *Engine) buildBoundTables() {
 // Admissibility is guarded by the randomized property test
 // TestLowerBoundAdmissible.
 func (c *Compiled) LowerBound(s *Scratch, m *mapping.Mapping, opts Options) Bound {
-	an := &s.lb
-	an.resetCore(c, m, 0, 0)
-	return c.boundFromCoreLimited(an, opts, s.statics, math.Inf(1))
+	opts.SkipValidate = true
+	b, _ := c.Stage(s, m, opts, 0, 0, math.Inf(1)) // cannot fail unvalidated
+	return b
 }
 
 // boundFromCoreLimited derives the admissible bound from an analysis whose
-// core state (spatial factors, extents, instances) is already resolved for
-// the mapping — either LowerBound's nest-free working set or a staged full
-// evaluation. It must not touch the analysis' nest or memo state: the
-// LowerBound path never builds them, and Stage defers theirs.
+// core state (spatial factors, extents, instances) Stage has just
+// resolved for the mapping. It must not touch the analysis' nest or memo
+// state: Stage defers their rebuild to FinishStaged, which pruned
+// candidates never reach.
 //
 // limitPJ is an early-exit threshold: as soon as the partial sum alone
 // proves the bound exceeds it, accumulation stops and the partial bound is

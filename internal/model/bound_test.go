@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -215,13 +216,16 @@ func TestLowerBoundTight(t *testing.T) {
 	}
 }
 
-// TestEvaluatePartialMatchesEvaluateInto is the delta-evaluation
-// equivalence property: for randomized mapping sequences with shared
-// outer-level prefixes, EvaluatePartial through one long-lived scratch is
+// TestStagedDeltaMatchesEvaluateInto is the delta-evaluation equivalence
+// property: for randomized mapping sequences with shared outer-level
+// prefixes, Stage+FinishStaged through one long-lived scratch is
 // bit-identical (every field, full ledger included) to a fresh
-// EvaluateInto.
-func TestEvaluatePartialMatchesEvaluateInto(t *testing.T) {
+// EvaluateInto. The bound the delta Stage returns is bit-identical to
+// LowerBound on a fresh scratch, and its early exit at a random limit
+// decides "bound > limit" exactly as the exact bound does.
+func TestStagedDeltaMatchesEvaluateInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
+	limRng := rand.New(rand.NewSource(19)) // separate, so limit draws do not shift the mapping draws
 	for archTrial := 0; archTrial < 8; archTrial++ {
 		var a *arch.Arch
 		if archTrial%2 == 0 {
@@ -257,7 +261,28 @@ func TestEvaluatePartialMatchesEvaluateInto(t *testing.T) {
 			if m.Validate(a, &l) != nil {
 				continue
 			}
-			errDelta := c.EvaluatePartial(delta, m, got, opts, shared)
+			bound, err := c.Stage(delta, m, opts, shared, shared, math.Inf(1))
+			if err != nil {
+				t.Fatalf("arch %d step %d: Stage: %v", archTrial, step, err)
+			}
+			if fresh := c.LowerBound(c.Engine().NewScratch(), m, opts); bound != fresh {
+				t.Fatalf("arch %d step %d (shared %d): staged bound %+v != fresh LowerBound %+v",
+					archTrial, step, shared, bound, fresh)
+			}
+			// A limit around the exact bound, sometimes exactly on it.
+			limitPJ := bound.EnergyPJ
+			if limRng.Intn(4) != 0 {
+				limitPJ *= 0.5 + limRng.Float64()
+			}
+			limited, err := c.Stage(c.Engine().NewScratch(), m, opts, 0, 0, limitPJ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (limited.EnergyPJ > limitPJ) != (bound.EnergyPJ > limitPJ) {
+				t.Fatalf("arch %d step %d: bound at limit %.12g is %.12g, exact bound %.12g decides otherwise",
+					archTrial, step, limitPJ, limited.EnergyPJ, bound.EnergyPJ)
+			}
+			errDelta := c.FinishStaged(delta, got, opts)
 			errFresh := c.EvaluateInto(c.Engine().NewScratch(), m, want, opts)
 			if (errDelta == nil) != (errFresh == nil) {
 				t.Fatalf("arch %d step %d: delta err %v, fresh err %v", archTrial, step, errDelta, errFresh)
@@ -291,10 +316,10 @@ func TestEvaluatePartialMatchesEvaluateInto(t *testing.T) {
 	}
 }
 
-// TestEvaluatePartialStaleScratch checks the guard rails: a shared prefix
+// TestStagedDeltaStaleScratch checks the guard rails: a shared prefix
 // claimed against a scratch that never evaluated (or evaluated on another
 // engine) degrades to a full evaluation instead of reading garbage.
-func TestEvaluatePartialStaleScratch(t *testing.T) {
+func TestStagedDeltaStaleScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := photonicArch(t, rng)
 	l := workload.NewConv("stale", 1, 4, 4, 4, 4, 1, 1, 1, 0)
@@ -310,10 +335,19 @@ func TestEvaluatePartialStaleScratch(t *testing.T) {
 	if err := c.EvaluateInto(c.Engine().NewScratch(), m, want, Options{SkipValidate: true}); err != nil {
 		t.Fatal(err)
 	}
-	// Fresh scratch with a bogus shared count.
-	if err := c.EvaluatePartial(c.Engine().NewScratch(), m, got, Options{SkipValidate: true}, 3); err != nil {
-		t.Fatal(err)
+	// stageFinish is the delta evaluation under test: Stage claiming a
+	// shared prefix, then FinishStaged.
+	stageFinish := func(s *Scratch, shared int) {
+		t.Helper()
+		if _, err := c.Stage(s, m, Options{SkipValidate: true}, shared, shared, math.Inf(1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.FinishStaged(s, got, Options{SkipValidate: true}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	// Fresh scratch with a bogus shared count.
+	stageFinish(c.Engine().NewScratch(), 3)
 	if got.TotalPJ != want.TotalPJ {
 		t.Fatalf("stale-scratch evaluation diverged: %g vs %g", got.TotalPJ, want.TotalPJ)
 	}
@@ -331,9 +365,7 @@ func TestEvaluatePartialStaleScratch(t *testing.T) {
 	if err := oc.EvaluateInto(s, om, got, Options{SkipValidate: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.EvaluatePartial(s, m, got, Options{SkipValidate: true}, 2); err != nil {
-		t.Fatal(err)
-	}
+	stageFinish(s, 2)
 	if got.TotalPJ != want.TotalPJ {
 		t.Fatalf("cross-engine scratch diverged: %g vs %g", got.TotalPJ, want.TotalPJ)
 	}

@@ -281,22 +281,18 @@ func (c *Compiled) Layer() *workload.Layer { return c.l }
 // across EvaluateInto calls makes the fast path allocation free.
 //
 // A Scratch also carries state between consecutive evaluations: the
-// analysis of the last staged or evaluated mapping (which Stage and
-// EvaluatePartial reuse for shared-prefix delta resolution) and the
-// LowerBound working set.
+// analysis of the last staged, bounded or evaluated mapping, which a
+// later Stage reuses for shared-prefix delta resolution.
 type Scratch struct {
 	an      analysis
-	lb      analysis // LowerBound's core-only working set (no nest walk)
 	statics []int64
-	anValid bool // s.an holds a fully resolved core+nest state
+	anValid bool // s.an holds a fully resolved core state
 }
 
 // NewScratch allocates working memory sized for the engine's architecture.
 func (e *Engine) NewScratch() *Scratch {
-	n := e.a.NumLevels()
 	s := &Scratch{statics: make([]int64, len(e.statics))}
-	s.an.init(n)
-	s.lb.init(n)
+	s.an.init(e.a.NumLevels())
 	return s
 }
 
@@ -306,25 +302,10 @@ var readTensors = [...]workload.Tensor{workload.Weights, workload.Inputs}
 // it evaluates mapping m into res, reusing the scratch buffers and res's
 // own backing arrays. Unless opts.FullLedger is set, the itemized Energy
 // ledger is skipped and only the aggregate TotalPJ is produced — every
-// other Result field is identical to Evaluate's.
+// other Result field is identical to Evaluate's. It is Stage with no
+// shared prefix followed by FinishStaged, minus the bound.
 func (c *Compiled) EvaluateInto(s *Scratch, m *mapping.Mapping, res *Result, opts Options) error {
-	return c.EvaluatePartial(s, m, res, opts, 0)
-}
-
-// EvaluatePartial is EvaluateInto with delta evaluation. shared declares
-// that the outermost shared storage levels of m — temporal factors,
-// permutation, rigid spatial choices and free spatial factors — are
-// configured identically to the mapping most recently staged or evaluated
-// through this scratch on this compiled engine. Those levels' spatial
-// factors, loop-nest segments and stationarity factors are reused instead
-// of recomputed; every reused value was produced by the same code on
-// identical inputs, so the result is bit-identical to EvaluateInto for any
-// truthful shared value. Pass 0 when unsure (or after an evaluation
-// error): that is exactly EvaluateInto. A stale or mismatched scratch
-// (different engine, never staged) silently degrades to a full evaluation
-// rather than misbehaving.
-func (c *Compiled) EvaluatePartial(s *Scratch, m *mapping.Mapping, res *Result, opts Options, shared int) error {
-	if _, err := c.stageCore(s, m, opts, shared, shared); err != nil {
+	if err := c.stageCore(s, m, opts, 0, 0); err != nil {
 		return err
 	}
 	return c.finishStaged(s, res, opts)
@@ -333,12 +314,22 @@ func (c *Compiled) EvaluatePartial(s *Scratch, m *mapping.Mapping, res *Result, 
 // Stage is the first half of an evaluation fused with the pruning bound:
 // it resolves mapping m's core state (spatial factors and tile extents —
 // the loop-nest build is deferred to FinishStaged, which pruned candidates
-// never pay for) into the scratch, reusing the outermost shared levels
-// exactly like EvaluatePartial, and returns the admissible lower bound
-// derived from that state, bit-identical to LowerBound's. A staged scratch
-// serves a later FinishStaged; together the pair is EvaluatePartial split
-// in two, so the mapper's bound gate and the surviving candidates' full
+// never pay for) into the scratch and returns the admissible lower bound
+// derived from that state. A staged scratch serves a later FinishStaged,
+// so the mapper's bound gate and the surviving candidates' full
 // evaluations share one core resolution instead of paying for two.
+//
+// shared declares that the outermost shared storage levels of m — temporal
+// factors, permutation, rigid spatial choices and free spatial factors —
+// are configured identically to the mapping most recently staged on this
+// scratch by this compiled engine. Those levels' spatial factors,
+// loop-nest segments and stationarity factors are reused instead of
+// recomputed; every reused value was produced by the same code on
+// identical inputs, so Stage+FinishStaged is bit-identical to EvaluateInto
+// for any truthful shared value. Pass 0 when unsure (or after an
+// evaluation error). A stale or mismatched scratch (different engine,
+// never staged) silently degrades to a full resolution rather than
+// misbehaving.
 //
 // sfShared extends the reuse to levels whose spatial configuration alone
 // matches the previous mapping (rigid choices and free factors, temporal
@@ -351,11 +342,11 @@ func (c *Compiled) EvaluatePartial(s *Scratch, m *mapping.Mapping, res *Result, 
 // value above limitPJ rather than the full bound, so any comparison
 // "bound > limit" is unaffected. Pass math.Inf(1) for the exact bound.
 //
-// The staged state also becomes the delta baseline for the next Stage or
-// EvaluatePartial on this scratch whether or not FinishStaged runs: a
-// pruned candidate still advances the shared-prefix chain.
+// The staged state becomes the delta baseline for the next Stage on this
+// scratch whether or not FinishStaged runs: a pruned candidate still
+// advances the shared-prefix chain.
 func (c *Compiled) Stage(s *Scratch, m *mapping.Mapping, opts Options, shared, sfShared int, limitPJ float64) (Bound, error) {
-	if _, err := c.stageCore(s, m, opts, shared, sfShared); err != nil {
+	if err := c.stageCore(s, m, opts, shared, sfShared); err != nil {
 		return Bound{}, err
 	}
 	return c.boundFromCoreLimited(&s.an, opts, s.statics, limitPJ), nil
@@ -372,23 +363,22 @@ func (c *Compiled) FinishStaged(s *Scratch, res *Result, opts Options) error {
 }
 
 // stageCore validates m and resolves its core analysis state into s.an,
-// honoring (and returning) the shared-prefix reuse count it could actually
-// apply. The flattened loop nest is NOT rebuilt here: the bound never
-// walks it, so its rebuild is deferred to the finishing passes via
-// an.nestOK, which tracks how much of the nest from the last finish is
-// still valid across the staged chain (each stage's shared prefix
-// guarantees the levels below it are unchanged, so the minimum over the
-// chain is a truthful shared value for the eventual resetNest). After
-// stageCore returns, s.an is a valid delta baseline even if the finishing
-// passes never run or fail.
-func (c *Compiled) stageCore(s *Scratch, m *mapping.Mapping, opts Options, shared, sfShared int) (int, error) {
+// honoring as much of the shared-prefix reuse as it can apply. The
+// flattened loop nest is NOT rebuilt here: the bound never walks it, so
+// its rebuild is deferred to the finishing passes via an.nestOK, which
+// tracks how much of the nest from the last finish is still valid across
+// the staged chain (each stage's shared prefix guarantees the levels below
+// it are unchanged, so the minimum over the chain is a truthful shared
+// value for the eventual resetNest). After stageCore returns, s.an is a
+// valid delta baseline even if the finishing passes never run or fail.
+func (c *Compiled) stageCore(s *Scratch, m *mapping.Mapping, opts Options, shared, sfShared int) error {
 	a := c.eng.a
 	if !opts.SkipValidate {
 		if err := c.l.Validate(); err != nil {
-			return 0, err
+			return err
 		}
 		if err := m.Validate(a, c.l); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	an := &s.an
@@ -416,7 +406,7 @@ func (c *Compiled) stageCore(s *Scratch, m *mapping.Mapping, opts Options, share
 		s.statics = make([]int64, len(c.eng.statics))
 	}
 	s.anValid = true
-	return shared, nil
+	return nil
 }
 
 // finishStaged runs the finishing passes — usage, energy, throughput — of

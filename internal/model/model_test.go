@@ -362,7 +362,10 @@ func TestPaddedUtilization(t *testing.T) {
 	}
 }
 
-func TestEvaluateCheckedRejectsDomainGaps(t *testing.T) {
+// TestEvaluateToleratesDomainGaps pins that the model evaluates an
+// architecture with an unconverted domain crossing; flagging such specs is
+// arch.DomainGaps' job (TestDomainGaps).
+func TestEvaluateToleratesDomainGaps(t *testing.T) {
 	lib := freeLib(t)
 	a := &arch.Arch{
 		Name: "gap", Lib: lib, ClockGHz: 1, DefaultWordBits: 8,
@@ -377,9 +380,6 @@ func TestEvaluateCheckedRejectsDomainGaps(t *testing.T) {
 	l := handLayer()
 	m := mapping.New(a)
 	setTemporal(m, 0, map[workload.Dim]int{workload.DimK: 2, workload.DimC: 2, workload.DimP: 2, workload.DimQ: 2}, nil)
-	if _, err := EvaluateChecked(a, &l, m, Options{}); err == nil {
-		t.Error("EvaluateChecked accepted a DE->AO edge with no converters")
-	}
 	if _, err := Evaluate(a, &l, m, Options{}); err != nil {
 		t.Errorf("plain Evaluate should tolerate gaps: %v", err)
 	}

@@ -224,13 +224,15 @@ type (
 	// per architecture, share across layers and goroutines.
 	Engine = model.Engine
 	// Compiled is an engine specialized to one (architecture, layer)
-	// pair; its EvaluateInto fast path is the mapper's inner loop, its
-	// LowerBound method the admissible bound the search prunes with, and
-	// its EvaluatePartial method the shared-prefix delta evaluator.
+	// pair; its EvaluateInto is the allocation-free fast path, and its
+	// Stage/FinishStaged pair the mapper's inner loop: Stage resolves a
+	// candidate (reusing a shared prefix of the previous one) and returns
+	// the admissible bound the search prunes with, FinishStaged completes
+	// the survivors. LowerBound is Stage alone.
 	Compiled = model.Compiled
 	// EvalScratch is the reusable per-goroutine working memory of the
 	// compiled fast path; it also carries the delta-evaluation state
-	// between consecutive EvaluatePartial calls.
+	// between consecutive Stage calls.
 	EvalScratch = model.Scratch
 	// EvalBound is an admissible lower bound on a mapping's evaluation:
 	// Compiled.LowerBound guarantees EnergyPJ <= TotalPJ and Cycles <=
