@@ -24,12 +24,14 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"photoloop/internal/arch"
 	"photoloop/internal/mapping"
@@ -258,10 +260,13 @@ type Session struct {
 	// hot-loop structural pre-checks visit only those instead of probing
 	// every level's cap through the architecture.
 	capped []capLevel
-	// workers pools per-worker search state (scratch, buffers, dedup set)
-	// across Search calls on this session.
-	workers sync.Pool
+	// id names the session to the worker pool (see getWorker) without
+	// keeping it reachable from pooled state.
+	id uint64
 }
+
+// sessionIDs numbers sessions for the worker pool.
+var sessionIDs atomic.Uint64
 
 // capLevel is one temporal-product-capped level for the pre-reject checks.
 type capLevel struct {
@@ -288,11 +293,17 @@ func (s *splitmix64) Uint64() uint64 {
 
 func (s *splitmix64) Int63() int64 { return int64(s.Uint64() >> 1) }
 
-// workerState pools one search worker's reusable allocations across
-// Search calls: the evaluation scratch, the shared result buffer, the
-// candidate ping-pong buffers, the dedup set and the candidate stream's
-// tables dominate the per-call allocation profile of short searches.
+// workerState is one search worker's reusable working memory: the
+// evaluation scratch, the shared result buffer, the candidate ping-pong
+// buffers, the dedup set and the candidate stream's tables dominate the
+// per-call allocation profile of short searches. States are pooled
+// process-wide (workerPool), so a search on a freshly built Session —
+// every sweep point, explore point and /v1/eval request builds one —
+// starts from buffers some earlier search already grew.
 type workerState struct {
+	// sess is the id of the session bufA and bufB were built for; every
+	// other field serves any architecture.
+	sess    uint64
 	scratch *model.Scratch
 	res     *model.Result
 	bufA    *mapping.Mapping
@@ -307,11 +318,8 @@ type workerState struct {
 	temps []workload.Point
 	order []scoreSlot
 	// remTab caches the remaining temporal bounds per spatial assignment;
-	// they depend on the layer, so every draw clears it. padded caches
-	// mapping.PaddedCandidates by bound; that depends on the bound alone,
-	// so it stays valid across searches.
+	// they depend on the layer, so every draw clears it.
 	remTab []workload.Point
-	padded [][]int
 }
 
 // scoreSlot is one phase-1 candidate in scoring order: its candidateKey
@@ -321,46 +329,36 @@ type scoreSlot struct {
 	ci  int
 }
 
-// getWorker takes a pooled worker state, or builds one.
+// workerPool holds idle worker states for every search in the process.
+var workerPool sync.Pool
+
+// getWorker takes a pooled worker state bound to this session, or builds
+// one. A state last used by another session gets fresh candidate buffers
+// for this architecture. Nothing else needs rebinding: the scratch
+// resolves its first Stage in full (it was staged for another Compiled —
+// every search compiles its own), and every draw rewrites the candidate
+// tables.
 func (s *Session) getWorker() *workerState {
-	if ws, _ := s.workers.Get().(*workerState); ws != nil {
-		return ws
+	ws, _ := workerPool.Get().(*workerState)
+	if ws == nil {
+		ws = &workerState{
+			scratch: s.eng.NewScratch(),
+			res:     &model.Result{},
+			seen:    make(map[uint64]struct{}, 512),
+		}
 	}
-	return &workerState{
-		scratch: s.eng.NewScratch(),
-		res:     &model.Result{},
-		bufA:    mapping.New(s.a),
-		bufB:    mapping.New(s.a),
-		seen:    make(map[uint64]struct{}, 512),
+	if ws.sess != s.id {
+		ws.sess = s.id
+		ws.bufA = mapping.New(s.a)
+		ws.bufB = mapping.New(s.a)
 	}
+	return ws
 }
 
-// putWorker returns a worker state to the session's pool.
-func (s *Session) putWorker(ws *workerState) {
+// putWorker returns a worker state to the process-wide pool.
+func putWorker(ws *workerState) {
 	clear(ws.seen)
-	s.workers.Put(ws)
-}
-
-// paddedCandidates is mapping.PaddedCandidates through the worker's
-// index-addressed table: PaddedCandidates consults a process-global
-// sync.Map, which is markedly dearer in the draw loop. Bounds are small
-// (remaining temporal trip counts); truly huge ones fall through.
-func (ws *workerState) paddedCandidates(bound int) []int {
-	const direct = 1 << 14
-	if bound >= direct {
-		return mapping.PaddedCandidates(bound)
-	}
-	if bound >= len(ws.padded) {
-		grown := make([][]int, bound+1)
-		copy(grown, ws.padded)
-		ws.padded = grown
-	}
-	if c := ws.padded[bound]; c != nil {
-		return c
-	}
-	c := mapping.PaddedCandidates(bound)
-	ws.padded[bound] = c
-	return c
+	workerPool.Put(ws)
 }
 
 // NewSession prepares an architecture for repeated searches.
@@ -376,6 +374,7 @@ func NewSession(a *arch.Arch) (*Session, error) {
 		minLv:       minLevels(a),
 		fp:          a.Fingerprint(),
 		tpOne:       make([]bool, a.NumLevels()),
+		id:          sessionIDs.Add(1),
 	}
 	for i := range s.tpOne {
 		tp := a.Level(i).MaxTemporalProduct
@@ -488,6 +487,33 @@ func (s *Session) search(l *workload.Layer, o Options) (*Best, error) {
 		}
 	}
 
+	// Phase 0 (seeds, then warm starts) draws nothing from the rng and
+	// reads the budget only through the seed cap, so a worker's phase-0
+	// outcome depends on its budget only through min(budget, len(Seeds)).
+	// It runs once per distinct value — once at default budgets — before
+	// the workers start, and every worker continues from a copy. The first
+	// worker of each pass takes over the pass's worker state, whose scratch
+	// still holds the pass's last staged mapping.
+	budgets := splitBudget(o.Budget, o.Workers)
+	passes := make(map[int]*seedPass, 1)
+	starts := make([]*seedPass, o.Workers)
+	owns := make([]bool, o.Workers)
+	for w, b := range budgets {
+		if b <= 0 {
+			continue
+		}
+		k := min(b, len(o.Seeds))
+		p := passes[k]
+		if p == nil {
+			p = s.runSeedPass(c, l, &o, k, warm)
+			passes[k] = p
+			owns[w] = true
+		} else if p.seen == nil {
+			p.seen = slices.Collect(maps.Keys(p.w.ws.seen))
+		}
+		starts[w] = p
+	}
+
 	type outcome struct {
 		best  *Best
 		evals int
@@ -495,15 +521,17 @@ func (s *Session) search(l *workload.Layer, o Options) (*Best, error) {
 	}
 	results := make([]outcome, o.Workers)
 	var wg sync.WaitGroup
-	budgets := splitBudget(o.Budget, o.Workers)
-	for w := 0; w < o.Workers; w++ {
+	for w, p := range starts {
+		if p == nil {
+			continue // no budget share: nothing to contribute
+		}
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			rng := rand.New(&splitmix64{x: uint64(o.Seed + int64(w)*7919)})
-			best, evals, stats := s.searchWorker(c, l, o, rng, budgets[w], warm)
+			best, evals, stats := s.searchWorker(p, owns[w], budgets[w], rng)
 			results[w] = outcome{best, evals, stats}
-		}(w)
+		}()
 	}
 	wg.Wait()
 
@@ -683,18 +711,18 @@ func (s *Session) drawCandidates(ws *workerState, l *workload.Layer, rng *rand.R
 				if s.tpOne[i] {
 					continue
 				}
-				cs := ws.paddedCandidates(left)
+				cs := mapping.PaddedCandidates(left)
 				f := cs[rng.Intn(len(cs))]
 				cand.temporal[i][d] = f
 				left = workload.CeilDiv(left, f)
 			}
 			cand.temporal[minLv[d]][d] *= left
 		}
-		// A capped level's entry is never written, so it keeps its zero
-		// from allocation: a worker state serves one session, so reused
-		// buffers put the capped levels at the same offsets every draw.
+		// A capped level draws no permutation; the pooled buffer may
+		// hold another architecture's draws, so its entry is reset.
 		for i := 0; i < n; i++ {
 			if s.tpOne[i] {
+				cand.perm[i] = 0
 				continue
 			}
 			cand.perm[i] = uint8(rng.Intn(len(permCandidates)))
@@ -780,31 +808,29 @@ func levelsShared(prev, m *mapping.Mapping) int {
 	return len(m.Levels)
 }
 
-// searchWorker runs one worker's slice of the search: seeds, warm starts,
-// the (reordered) random exploration stream, and the hill climb. The
-// returned Best is bit-identical to the oracle's (Options.oracle) for the
-// same (seed, budget) — the lower-bound gate only discards candidates
-// that provably cannot win, and delta evaluation reproduces full
-// evaluations exactly (TestPrunedSearchMatchesUnprunedSampler pins both).
-func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, rng *rand.Rand, budget int, warm []*mapping.Mapping) (best *Best, evals int, st SearchStats) {
-	if budget <= 0 {
-		return nil, 0, st
-	}
-	a := s.a
-	n := a.NumLevels()
-	ws := s.getWorker()
-	defer s.putWorker(ws)
-	scratch, res, seen := ws.scratch, ws.res, ws.seen
-	evalOpts := model.Options{SkipValidate: true, ChargeStatic: o.Eval.ChargeStatic}
-	validate := !o.Eval.SkipValidate
+// worker is one search worker's state. Its methods are the scoring steps
+// every phase shares; phase 0 runs on a worker of its own (runSeedPass),
+// and each search worker continues from a copy of that worker.
+type worker struct {
+	s        *Session
+	c        *model.Compiled
+	l        *workload.Layer
+	o        *Options
+	ws       *workerState
+	budget   int
+	evalOpts model.Options
+	validate bool
 
+	evals int
+	st    SearchStats
+	best  *Best
 	// cutoff is the pruning incumbent's result: phases 0-1 track the
 	// worker best, the hill climb its (only improving) cursor. prevEval
 	// holds the delta baseline, the last staged mapping; its content must
 	// stay untouched until the next evaluation, so candidate
 	// materialization ping-pongs between two buffers.
-	var cutoff *model.Result
-	var prevEval *mapping.Mapping
+	cutoff   *model.Result
+	prevEval *mapping.Mapping
 	// lastSpatialKey identifies the spatial configuration of the last
 	// staged mapping: the spatial-assignment index for candidates built
 	// from one (warmup, random draws), -1 for mappings of unknown
@@ -813,185 +839,239 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 	// configurations (FreeSpatial is Ones, choices copy the assignment),
 	// so a key match lets Stage skip the spatial-factor and instance
 	// resolution outright — no per-level comparison needed.
-	lastSpatialKey := int64(-1)
-	bufA, bufB := ws.bufA, ws.bufB
-	matBuf := func() *mapping.Mapping {
-		if prevEval == bufA {
-			return bufB
-		}
-		return bufA
-	}
+	lastSpatialKey int64
 	// Per-buffer record of which assignment's spatial configuration the
 	// buffer holds (-1: unknown), letting materialize skip the rewrite.
-	assignA, assignB := int32(-1), int32(-1)
-	bufAssign := func(m *mapping.Mapping) *int32 {
-		if m == bufA {
-			return &assignA
-		}
-		return &assignB
-	}
+	assignA, assignB int32
 
 	// retainValidate marks the last scored candidate as still owing its
 	// full validation: the staged path defers m.Valid to retention time
-	// (the accept sites below), because Valid rejects almost nothing
-	// (~2 of 360 candidates on the seeded bench) yet walking every
-	// candidate through it cost ~11% of search. A candidate that is never
+	// (retain, called where consider and the climb accept a candidate),
+	// because Valid rejects almost nothing (~2 of 360 candidates on the
+	// seeded bench) yet walking every candidate through it cost ~11% of
+	// search. A candidate that is never
 	// retained never pays for validation; retainDelta remembers which
 	// stats bucket its evaluation was charged to so a retention-time
 	// rejection can recategorize it as Invalid, keeping the accounting
 	// identity (Pruned + DeltaEvals + FullEvals + Duplicates + Invalid ==
 	// charged attempts) intact.
-	var retainValidate, retainDelta bool
+	retainValidate, retainDelta bool
+}
 
-	// try scores a mapping on the compiled fast path. Budget is consumed
-	// per charged attempt; schedules already fingerprinted return nil
-	// without re-evaluating (an already-seen schedule was scored, pruned,
-	// or failed deterministically, and can never beat the incumbent, so
-	// skipping it is behavior preserving).
-	//
-	// Each candidate is staged once (model.Compiled.Stage): one
-	// shared-prefix core resolution serves the admissible bound, and —
-	// only for candidates the bound cannot discard — the finishing passes
-	// (FinishStaged). Pruned candidates therefore cost a core resolution,
-	// and they still advance the delta-evaluation chain. Pruning needs no
-	// validity and full validation is deferred to retention (see
-	// retainValidate), so an invalid candidate lands in Pruned or the
-	// eval buckets unless it is retained; neither kind can become the
-	// incumbent — Best is unaffected, only the stats split differs from
-	// the oracle, which validates up front. Deferral also means an invalid
-	// schedule's fingerprint enters seen (the oracle leaves it out); a
-	// later distinct schedule is shadowed only by a 64-bit fingerprint
-	// collision, which the dedup already accepts for valid schedules.
-	try := func(m *mapping.Mapping, charge bool, spatialKey int64) *model.Result {
-		retainValidate = false
-		if charge {
-			if evals >= budget {
-				return nil
-			}
-			evals++
-		}
-		if validate {
-			// Fast subset of Valid: temporal loops on a capped level (an
-			// analog accumulator, a ring bank) can never validate, and
-			// hill-climb moves produce them constantly. Rejecting before
-			// fingerprinting and full validation is behavior preserving —
-			// invalid candidates are never recorded either way.
-			for _, cl := range s.capped {
-				if m.Levels[cl.level].Temporal.Product() > cl.tp {
-					st.Invalid++
-					return nil
-				}
-			}
-		}
-		fp := m.Fingerprint()
-		if _, dup := seen[fp]; dup {
-			st.Duplicates++
+// matBuf returns the ping-pong buffer not holding the delta baseline.
+func (w *worker) matBuf() *mapping.Mapping {
+	if w.prevEval == w.ws.bufA {
+		return w.ws.bufB
+	}
+	return w.ws.bufA
+}
+
+// bufAssign returns the assignment record of one of the two buffers.
+func (w *worker) bufAssign(m *mapping.Mapping) *int32 {
+	if m == w.ws.bufA {
+		return &w.assignA
+	}
+	return &w.assignB
+}
+
+// try scores a mapping on the compiled fast path. Budget is consumed per
+// charged attempt; schedules already fingerprinted return nil without
+// re-evaluating (an already-seen schedule was scored, pruned, or failed
+// deterministically, and can never beat the incumbent, so skipping it is
+// behavior preserving).
+//
+// Each candidate is staged once (model.Compiled.Stage): one shared-prefix
+// core resolution serves the admissible bound, and — only for candidates
+// the bound cannot discard — the finishing passes (FinishStaged). Pruned
+// candidates therefore cost a core resolution, and they still advance the
+// delta-evaluation chain. Pruning needs no validity and full validation is
+// deferred to retention (see retainValidate), so an invalid candidate
+// lands in Pruned or the eval buckets unless it is retained; neither kind
+// can become the incumbent — Best is unaffected, only the stats split
+// differs from the oracle, which validates up front. Deferral also means
+// an invalid schedule's fingerprint enters seen (the oracle leaves it
+// out); a later distinct schedule is shadowed only by a 64-bit fingerprint
+// collision, which the dedup already accepts for valid schedules.
+func (w *worker) try(m *mapping.Mapping, charge bool, spatialKey int64) *model.Result {
+	w.retainValidate = false
+	if charge {
+		if w.evals >= w.budget {
 			return nil
 		}
-		if o.oracle {
-			if validate && !m.Valid(a, l) {
-				st.Invalid++
+		w.evals++
+	}
+	if w.validate {
+		// Fast subset of Valid: temporal loops on a capped level (an
+		// analog accumulator, a ring bank) can never validate, and
+		// hill-climb moves produce them constantly. Rejecting before
+		// fingerprinting and full validation is behavior preserving —
+		// invalid candidates are never recorded either way.
+		for _, cl := range w.s.capped {
+			if m.Levels[cl.level].Temporal.Product() > cl.tp {
+				w.st.Invalid++
 				return nil
 			}
-			seen[fp] = struct{}{}
-			if err := c.EvaluateInto(scratch, m, res, evalOpts); err != nil {
-				return nil
-			}
-			st.FullEvals++
-			return res
 		}
-		shared, sfShared := levelsShared(prevEval, m), 0
-		if spatialKey >= 0 && spatialKey == lastSpatialKey {
-			sfShared = n
-		}
-		// The staged bound is a byproduct of the core resolution, so
-		// checking it is free and it always prunes when it can. When the
-		// objective is pure energy, the incumbent's score doubles as
-		// Stage's early-exit threshold: the bound stops accumulating once
-		// the partial sum alone proves the prune. The returned (partial)
-		// bound then exceeds the cutoff exactly when the full bound would,
-		// so the decision below is unchanged. Other objectives need the
-		// full bound (their score mixes in cycles).
-		prune := cutoff != nil
-		limitPJ := math.Inf(1)
-		if prune && o.Objective == MinEnergy {
-			limitPJ = cutoff.TotalPJ
-		}
-		bound, err := c.Stage(scratch, m, evalOpts, shared, sfShared, limitPJ)
-		if err != nil {
-			prevEval = nil
-			lastSpatialKey = -1
+	}
+	fp := m.Fingerprint()
+	seen := w.ws.seen
+	if _, dup := seen[fp]; dup {
+		w.st.Duplicates++
+		return nil
+	}
+	scratch, res := w.ws.scratch, w.ws.res
+	if w.o.oracle {
+		if w.validate && !m.Valid(w.s.a, w.l) {
+			w.st.Invalid++
 			return nil
 		}
-		prevEval = m
-		lastSpatialKey = spatialKey
 		seen[fp] = struct{}{}
-		// Admissible pruning: skip the finishing passes only when the
-		// bound proves the candidate cannot strictly beat the incumbent.
-		// The check must be a strict inequality — a candidate whose true
-		// score ties the incumbent can still win the deterministic
-		// tie-break.
-		if prune && boundScore(o.Objective, bound) > Score(o.Objective, cutoff) {
-			st.Pruned++
+		if err := w.c.EvaluateInto(scratch, m, res, w.evalOpts); err != nil {
 			return nil
 		}
-		if err := c.FinishStaged(scratch, res, evalOpts); err != nil {
-			prevEval = nil
-			return nil
-		}
-		if shared > 0 {
-			st.DeltaEvals++
-			retainDelta = true
-		} else {
-			st.FullEvals++
-			retainDelta = false
-		}
-		retainValidate = validate
+		w.st.FullEvals++
 		return res
 	}
-	// retain runs the deferred full validation on a candidate about to be
-	// accepted. A rejection recategorizes the candidate's charged
-	// evaluation as Invalid — it was scored, but it may not win.
-	retain := func(m *mapping.Mapping) bool {
-		if retainValidate {
-			retainValidate = false
-			if !m.Valid(a, l) {
-				if retainDelta {
-					st.DeltaEvals--
-				} else {
-					st.FullEvals--
-				}
-				st.Invalid++
-				return false
-			}
-		}
-		return true
+	shared, sfShared := levelsShared(w.prevEval, m), 0
+	if spatialKey >= 0 && spatialKey == w.lastSpatialKey {
+		sfShared = len(m.Levels)
 	}
-	consider := func(m *mapping.Mapping, r *model.Result) {
-		if r == nil {
-			return
-		}
-		if (best == nil || betterEval(o.Objective, r, m, best)) && retain(m) {
-			best = &Best{Mapping: m.Clone(), Result: r.Clone()}
-			cutoff = best.Result
-		}
+	// The staged bound is a byproduct of the core resolution, so checking
+	// it is free and it always prunes when it can. When the objective is
+	// pure energy, the incumbent's score doubles as Stage's early-exit
+	// threshold: the bound stops accumulating once the partial sum alone
+	// proves the prune. The returned (partial) bound then exceeds the
+	// cutoff exactly when the full bound would, so the decision below is
+	// unchanged. Other objectives need the full bound (their score mixes
+	// in cycles).
+	obj := w.o.Objective
+	prune := w.cutoff != nil
+	limitPJ := math.Inf(1)
+	if prune && obj == MinEnergy {
+		limitPJ = w.cutoff.TotalPJ
 	}
+	bound, err := w.c.Stage(scratch, m, w.evalOpts, shared, sfShared, limitPJ)
+	if err != nil {
+		w.prevEval = nil
+		w.lastSpatialKey = -1
+		return nil
+	}
+	w.prevEval = m
+	w.lastSpatialKey = spatialKey
+	seen[fp] = struct{}{}
+	// Admissible pruning: skip the finishing passes only when the bound
+	// proves the candidate cannot strictly beat the incumbent. The check
+	// must be a strict inequality — a candidate whose true score ties the
+	// incumbent can still win the deterministic tie-break.
+	if prune && boundScore(obj, bound) > Score(obj, w.cutoff) {
+		w.st.Pruned++
+		return nil
+	}
+	if err := w.c.FinishStaged(scratch, res, w.evalOpts); err != nil {
+		w.prevEval = nil
+		return nil
+	}
+	if shared > 0 {
+		w.st.DeltaEvals++
+		w.retainDelta = true
+	} else {
+		w.st.FullEvals++
+		w.retainDelta = false
+	}
+	w.retainValidate = w.validate
+	return res
+}
 
-	// Phase 0: caller-provided seed mappings, then warm starts (validated
-	// always — they come from other searches — and not budget-charged).
-	// Seeds are tried in place: nothing below mutates a candidate, and
-	// consider clones on retention.
-	for _, seed := range o.Seeds {
-		consider(seed, try(seed, true, -1))
-	}
-	for _, w := range warm {
-		// Already validated once in search(); try only dedups and scores.
-		r := try(w, false, -1)
-		if r != nil {
-			st.WarmStartEvals++
+// retain runs the deferred full validation on a candidate about to be
+// accepted. A rejection recategorizes the candidate's charged evaluation
+// as Invalid — it was scored, but it may not win.
+func (w *worker) retain(m *mapping.Mapping) bool {
+	if w.retainValidate {
+		w.retainValidate = false
+		if !m.Valid(w.s.a, w.l) {
+			if w.retainDelta {
+				w.st.DeltaEvals--
+			} else {
+				w.st.FullEvals--
+			}
+			w.st.Invalid++
+			return false
 		}
-		consider(w, r)
 	}
+	return true
+}
+
+// consider makes a scored candidate the worker best if it beats it.
+func (w *worker) consider(m *mapping.Mapping, r *model.Result) {
+	if r == nil {
+		return
+	}
+	if (w.best == nil || betterEval(w.o.Objective, r, m, w.best)) && w.retain(m) {
+		w.best = &Best{Mapping: m.Clone(), Result: r.Clone()}
+		w.cutoff = w.best.Result
+	}
+}
+
+// seedPass is the outcome of phase 0 for one seed cap: the worker that ran
+// it, just after the phase, and — when more than one search worker starts
+// from it — a snapshot of the fingerprints it recorded.
+type seedPass struct {
+	w    worker
+	seen []uint64
+}
+
+// runSeedPass runs phase 0 on a fresh worker: the caller-provided seed
+// mappings, charged against a budget of seedCap, then the warm starts
+// (validated always — they come from other searches — and not
+// budget-charged). Seeds are tried in place: nothing mutates a candidate,
+// and consider clones on retention.
+func (s *Session) runSeedPass(c *model.Compiled, l *workload.Layer, o *Options, seedCap int, warm []*mapping.Mapping) *seedPass {
+	p := &seedPass{w: worker{
+		s: s, c: c, l: l, o: o, ws: s.getWorker(), budget: seedCap,
+		evalOpts:       model.Options{SkipValidate: true, ChargeStatic: o.Eval.ChargeStatic},
+		validate:       !o.Eval.SkipValidate,
+		lastSpatialKey: -1, assignA: -1, assignB: -1,
+	}}
+	w := &p.w
+	for _, seed := range o.Seeds {
+		w.consider(seed, w.try(seed, true, -1))
+	}
+	for _, m := range warm {
+		// Already validated once in search(); try only dedups and scores.
+		r := w.try(m, false, -1)
+		if r != nil {
+			w.st.WarmStartEvals++
+		}
+		w.consider(m, r)
+	}
+	return p
+}
+
+// searchWorker runs one worker's slice of the search: phase 0 (seeds, warm
+// starts) comes from p, then the (reordered) random exploration stream and
+// the hill climb. The worker starts exactly where its own phase 0 would
+// have left it: the evaluation count, stats, incumbent and dedup set, and
+// the delta baseline prevEval. When own is set it takes over p's worker
+// state, whose scratch is still staged for prevEval; any other worker's
+// scratch was staged for another Compiled, so its first Stage resolves in
+// full — bit-identical to the delta resolution, and counted in the same
+// stats bucket, which levelsShared decides. The returned Best is
+// bit-identical to the oracle's (Options.oracle) for the same (seed,
+// budget) — the lower-bound gate only discards candidates that provably
+// cannot win, and delta evaluation reproduces full evaluations exactly
+// (TestPrunedSearchMatchesUnprunedSampler pins both).
+func (s *Session) searchWorker(p *seedPass, own bool, budget int, rng *rand.Rand) (*Best, int, SearchStats) {
+	w := p.w
+	w.budget = budget
+	if !own {
+		w.ws = s.getWorker()
+		for _, fp := range p.seen {
+			w.ws.seen[fp] = struct{}{}
+		}
+	}
+	defer putWorker(w.ws)
+	a, l, o, ws := s.a, w.l, w.o, w.ws
+	n := a.NumLevels()
 
 	// Phase 0.5: when nothing has set an incumbent yet, score the trivial
 	// all-outer mapping of the first few assignments (canonical first)
@@ -999,19 +1079,19 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 	// very first draw instead of fully evaluating candidates until one
 	// happens to succeed. Capped at a tenth of the budget — these are
 	// deliberately mediocre mappings, only there to arm the pruning gate.
-	if best == nil {
+	if w.best == nil {
 		wcap := budget / 10
 		if wcap > len(s.assignments) {
 			wcap = len(s.assignments)
 		}
 		for ai, assign := range s.assignments[:wcap] {
-			if evals >= budget {
+			if w.evals >= budget {
 				break
 			}
-			m := matBuf()
+			m := w.matBuf()
 			outerInto(a, m, l, assign, s.minLv)
-			*bufAssign(m) = int32(ai)
-			consider(m, try(m, true, int64(ai)))
+			*w.bufAssign(m) = int32(ai)
+			w.consider(m, w.try(m, true, int64(ai)))
 		}
 	}
 
@@ -1023,7 +1103,7 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 	// permutations, outer factors) so consecutive candidates share
 	// evaluation state; the candidate set — and hence the outcome — is
 	// identical to the legacy interleaved loop.
-	if k := budget*7/10 - evals; k > 0 {
+	if k := budget*7/10 - w.evals; k > 0 {
 		cands := s.drawCandidates(ws, l, rng, k, n)
 		// Cheap structural pre-reject on the compact form, mirroring
 		// Validate's MaxTemporalProduct rule exactly: a draw that puts
@@ -1036,11 +1116,11 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 		order := ws.order[:0]
 	prefilter:
 		for ci := range cands {
-			if validate {
+			if w.validate {
 				for _, cl := range s.capped {
 					if cands[ci].temporal[cl.level].Product() > cl.tp {
-						evals++
-						st.Invalid++
+						w.evals++
+						w.st.Invalid++
 						continue prefilter
 					}
 				}
@@ -1056,56 +1136,57 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 		})
 		for _, slot := range order {
 			ci := slot.ci
-			m := matBuf()
-			ba := bufAssign(m)
+			m := w.matBuf()
+			ba := w.bufAssign(m)
 			s.materialize(m, &cands[ci], *ba == cands[ci].assign)
 			*ba = cands[ci].assign
-			consider(m, try(m, true, int64(cands[ci].assign)))
+			w.consider(m, w.try(m, true, int64(cands[ci].assign)))
 		}
 	}
 
 	// Phase 2: hill climb from the best mapping found.
-	if best == nil {
+	if w.best == nil {
 		// Fall back to the trivial all-outer mapping per assignment —
 		// on architectures whose capped levels reject every random draw
 		// (Albireo unseeded) this is where the incumbent comes from.
 		// Materialized into the ping-pong buffers; construction stops
 		// once the budget cannot admit another attempt.
 		for ai, assign := range s.assignments {
-			if evals >= budget {
+			if w.evals >= budget {
 				break
 			}
-			m := matBuf()
+			m := w.matBuf()
 			outerInto(a, m, l, assign, s.minLv)
-			*bufAssign(m) = int32(ai)
-			consider(m, try(m, true, int64(ai)))
+			*w.bufAssign(m) = int32(ai)
+			w.consider(m, w.try(m, true, int64(ai)))
 		}
 	}
+	best := w.best
 	if best == nil {
-		return nil, evals, st
+		return nil, w.evals, w.st
 	}
 	cur := best
-	cutoff = cur.Result
+	w.cutoff = cur.Result
 	// Every climb neighbor copies cur's spatial configuration verbatim
 	// (edits touch only temporal factors and permutations, and cur is only
 	// ever replaced by a clone of such a neighbor), so the whole climb
 	// shares one spatial config. A sentinel key one past the assignment
 	// indices lets consecutive climb evaluations skip re-resolving it.
 	climbKey := int64(len(s.assignments))
-	for evals < budget {
+	for w.evals < budget {
 		improved := false
 		for _, e := range neighborEdits(a, cur.Mapping, rng) {
-			nb := matBuf()
+			nb := w.matBuf()
 			copyMapping(nb, cur.Mapping)
-			*bufAssign(nb) = -1
+			*w.bufAssign(nb) = -1
 			applyEdit(nb, e)
-			r := try(nb, true, climbKey)
+			r := w.try(nb, true, climbKey)
 			if r == nil {
 				continue
 			}
-			if betterEval(o.Objective, r, nb, cur) && retain(nb) {
+			if betterEval(o.Objective, r, nb, cur) && w.retain(nb) {
 				cur = &Best{Mapping: nb.Clone(), Result: r.Clone()}
-				cutoff = cur.Result
+				w.cutoff = cur.Result
 				improved = true
 				break
 			}
@@ -1117,7 +1198,7 @@ func (s *Session) searchWorker(c *model.Compiled, l *workload.Layer, o Options, 
 	if cur != best && betterEval(o.Objective, cur.Result, cur.Mapping, best) {
 		best = cur
 	}
-	return best, evals, st
+	return best, w.evals, w.st
 }
 
 // maxSpatialAssignments caps the enumerated cross product of rigid

@@ -3,6 +3,7 @@ package mapper
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"photoloop/internal/arch"
@@ -255,7 +256,7 @@ func TestDrawCandidatesMatchesRandomMapping(t *testing.T) {
 				t.Fatalf("%s: candidate %d diverged from randomMapping:\n%s\nvs\n%s", a.Name, i, buf, want[i])
 			}
 		}
-		s.putWorker(ws)
+		putWorker(ws)
 	}
 }
 
@@ -274,7 +275,7 @@ func TestCandidateStreamZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := s.getWorker()
-	defer s.putWorker(ws)
+	defer putWorker(ws)
 	// The warm-up's single worker drew well over k candidates from this
 	// seed's stream (phase 1 takes 7/10 of the budget, less the seeds),
 	// so a k-prefix of the same stream fits the grown buffers and meets
@@ -286,6 +287,37 @@ func TestCandidateStreamZeroAlloc(t *testing.T) {
 		s.drawCandidates(ws, &l, rng, k, a.NumLevels())
 	}); n != 0 {
 		t.Errorf("candidate-stream draw allocates %.1f times, want 0", n)
+	}
+
+	// Worker states are pooled process-wide, so the next draw may go
+	// through a state another session used last: here the electrical test
+	// architecture's, whose uncapped levels left a permutation draw at
+	// every offset. Its first draw for this session may grow the buffers
+	// (AllocsPerRun's warm-up call); after that it must not allocate, and
+	// it must draw exactly the clean state's stream.
+	elec, err := NewSession(testArch(t, 1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := elec.getWorker()
+	defer putWorker(foreign)
+	big := workload.NewConv("big", 1, 64, 32, 14, 14, 3, 3, 1, 1)
+	elec.drawCandidates(foreign, &big, rand.New(&splitmix64{x: 3}), 4*k, elec.a.NumLevels())
+	if n := testing.AllocsPerRun(50, func() {
+		rng.Seed(seed)
+		s.drawCandidates(foreign, &l, rng, k, a.NumLevels())
+	}); n != 0 {
+		t.Errorf("candidate-stream draw through another session's state allocates %.1f times, want 0", n)
+	}
+	rng.Seed(seed)
+	want := s.drawCandidates(ws, &l, rng, k, a.NumLevels())
+	rng.Seed(seed)
+	got := s.drawCandidates(foreign, &l, rng, k, a.NumLevels())
+	for i := range want {
+		if got[i].assign != want[i].assign || !slices.Equal(got[i].perm, want[i].perm) ||
+			!slices.Equal(got[i].temporal, want[i].temporal) {
+			t.Fatalf("candidate %d differs through another session's state: %+v vs %+v", i, got[i], want[i])
+		}
 	}
 }
 

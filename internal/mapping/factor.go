@@ -3,6 +3,7 @@ package mapping
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"photoloop/internal/workload"
 )
@@ -52,9 +53,19 @@ func FactorSplits(n, k int) [][]int {
 	return out
 }
 
-// paddedCandidatesCache memoizes PaddedCandidates — the mapper asks for
-// the same bounds millions of times across random draws.
-var paddedCandidatesCache sync.Map // int -> []int
+// paddedDirect bounds the index-addressed half of the PaddedCandidates
+// memo. The mapper's draw loop asks for remaining temporal trip counts,
+// which stay far below it; larger bounds go through the sync.Map.
+const paddedDirect = 1 << 14
+
+// The PaddedCandidates memo — the mapper asks for the same bounds millions
+// of times across random draws. Bounds below paddedDirect are looked up
+// lock-free by index, which is what keeps the draw loop cheap; the rest
+// (rare, and each one expensive to compute anyway) go through a sync.Map.
+var (
+	paddedTable [paddedDirect]atomic.Pointer[[]int]
+	paddedMap   sync.Map // int -> []int
+)
 
 // PaddedCandidates returns candidate tile factors for covering bound n with
 // possible padding: every divisor of n, plus ceiling-based factors that
@@ -62,14 +73,31 @@ var paddedCandidatesCache sync.Map // int -> []int
 // sorted ascending and deduplicated. These are the factor choices a mapper
 // should consider at a single level — any other factor is dominated by one
 // of these (same coverage, no smaller padding). The result is cached and
-// shared — callers must not modify it.
+// shared — callers must not modify it. It is safe for concurrent use.
 func PaddedCandidates(n int) []int {
 	if n < 1 {
 		return nil
 	}
-	if cached, ok := paddedCandidatesCache.Load(n); ok {
-		return cached.([]int)
+	if n < paddedDirect {
+		slot := &paddedTable[n]
+		if c := slot.Load(); c != nil {
+			return *c
+		}
+		c := paddedCandidates(n)
+		// Concurrent first calls compute equal slices; all of them return
+		// the one that won the slot.
+		slot.CompareAndSwap(nil, &c)
+		return *slot.Load()
 	}
+	if c, ok := paddedMap.Load(n); ok {
+		return c.([]int)
+	}
+	c, _ := paddedMap.LoadOrStore(n, paddedCandidates(n))
+	return c.([]int)
+}
+
+// paddedCandidates computes PaddedCandidates(n) without the memo.
+func paddedCandidates(n int) []int {
 	set := map[int]bool{}
 	for _, d := range Divisors(n) {
 		set[d] = true
@@ -82,7 +110,6 @@ func PaddedCandidates(n int) []int {
 		out = append(out, v)
 	}
 	sort.Ints(out)
-	paddedCandidatesCache.Store(n, out)
 	return out
 }
 

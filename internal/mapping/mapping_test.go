@@ -1,6 +1,8 @@
 package mapping
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -315,6 +317,45 @@ func TestPaddedCandidates(t *testing.T) {
 	}
 	if !has4 {
 		t.Errorf("PaddedCandidates(7) = %v, want to include 4", got7)
+	}
+}
+
+// TestPaddedCandidatesMemoPaths checks both halves of the memo — the
+// index-addressed table below paddedDirect and the sync.Map above it —
+// against an uncached computation, for bounds on either side of the
+// boundary. Every bound's first calls race from several goroutines (run it
+// under -race), and all callers must get the one shared slice.
+func TestPaddedCandidatesMemoPaths(t *testing.T) {
+	var bounds []int
+	for n := paddedDirect - 3; n <= paddedDirect+3; n++ {
+		bounds = append(bounds, n)
+	}
+	got := make([][][]int, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, n := range bounds {
+				got[g] = append(got[g], PaddedCandidates(n))
+			}
+		}()
+	}
+	wg.Wait()
+	for i, n := range bounds {
+		want := paddedCandidates(n)
+		shared := PaddedCandidates(n)
+		if !slices.Equal(shared, want) {
+			t.Fatalf("PaddedCandidates(%d): memo %v differs from computation %v", n, shared, want)
+		}
+		for g := range got {
+			if &got[g][i][0] != &shared[0] {
+				t.Fatalf("PaddedCandidates(%d): goroutine %d got an unshared slice", n, g)
+			}
+		}
+	}
+	if PaddedCandidates(0) != nil {
+		t.Error("PaddedCandidates(0) should be nil")
 	}
 }
 

@@ -212,7 +212,6 @@ func Eval(req *EvalRequest, cache *mapper.Cache) (*EvalResponse, error) {
 		if err != nil {
 			return nil, err
 		}
-		total := model.Result{Layer: netName}
 		for i := range nres.Layers {
 			best := nres.Layers[i].Best
 			resp.Layers = append(resp.Layers, layerOutcome(best))
@@ -221,9 +220,10 @@ func Eval(req *EvalRequest, cache *mapper.Cache) (*EvalResponse, error) {
 			resp.Pruned += best.Stats.Pruned
 			resp.DeltaEvals += best.Stats.DeltaEvals
 			resp.FullEvals += best.Stats.FullEvals
-			total.Accumulate(best.Result)
 		}
-		resp.fillTotals(&total)
+		// EvalNetwork already rolled the layers up (from the same start,
+		// over the same layers in the same order).
+		resp.fillTotals(&nres.Total)
 		finishFidelity()
 		return resp, nil
 	}
