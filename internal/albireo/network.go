@@ -125,15 +125,6 @@ func EvalNetwork(cfg Config, net workload.Network, opts NetOptions) (*NetResult,
 	if err != nil {
 		return nil, fmt.Errorf("albireo: %w", err)
 	}
-	// Size the rollup once: Accumulate appends every layer's ledger.
-	res.Layers = make([]LayerEval, 0, len(bests))
-	nEnergy, nUsage := 0, 0
-	for _, best := range bests {
-		nEnergy += len(best.Result.Energy)
-		nUsage += len(best.Result.Usage)
-	}
-	res.Total.Energy = slices.Grow(res.Total.Energy, nEnergy)
-	res.Total.Usage = slices.Grow(res.Total.Usage, nUsage)
 	for i, best := range bests {
 		res.Layers = append(res.Layers, LayerEval{Layer: work.Layers[i], Best: best})
 		res.Total.Accumulate(best.Result)

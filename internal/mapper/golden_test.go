@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -157,6 +158,54 @@ func TestSearchGolden(t *testing.T) {
 		t.Logf("wrote %d searches to %s", len(got), goldenPath)
 		return
 	}
+	checkGolden(t, got)
+}
+
+// TestSeedPassHandoffSingleProc runs searches on one OS thread, where a
+// search's workers run one after another, the last one started first: every
+// state a finished worker puts back into the process-wide pool is there for
+// its siblings to take. A worker that took such a state would stage its
+// first candidates on top of the sibling's last mapping for the same
+// Compiled. The golden matrix must still match, and so must staged search
+// and the oracle on per-worker budgets a little above the seed count with
+// a warm start: those send every worker from phase 0 straight into the
+// hill climb, whose first candidate shares most levels with the carried
+// delta baseline.
+func TestSeedPassHandoffSingleProc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	checkGolden(t, runGoldenSearches(t))
+	l := workload.NewConv("conv", 1, 32, 16, 14, 14, 3, 3, 1, 1)
+	for _, ga := range goldenArchs(t) {
+		s, err := mapper.NewSession(ga.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds := ga.seeds(s, &l)
+		warm, err := s.Search(&l, mapper.Options{Budget: 600, Seed: 99, Workers: 1, Seeds: seeds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{3, 8} {
+			for _, extra := range []int{5, 10, 15} {
+				for _, obj := range []mapper.Objective{mapper.MinEnergy, mapper.MinEDP} {
+					opts := mapper.Options{Objective: obj, Budget: (len(seeds) + extra) * workers, Seed: 7,
+						Workers: workers, Seeds: seeds, WarmStarts: []*mapping.Mapping{warm.Mapping}}
+					name := fmt.Sprintf("%s/w%d/+%d/%v", ga.name, workers, extra, obj)
+					got := goldenRecord(t, s, &l, name, opts)
+					want := goldenRecord(t, s, &l, name, mapper.Oracle(opts))
+					if got.Mapping != want.Mapping || got.TotalPJBits != want.TotalPJBits {
+						t.Errorf("%s: staged %s (%s), oracle %s (%s)", name,
+							got.Mapping, got.TotalPJBits, want.Mapping, want.TotalPJBits)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkGolden compares search outcomes with testdata/search_golden.json.
+func checkGolden(t *testing.T, got []goldenSearch) {
+	t.Helper()
 	raw, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)

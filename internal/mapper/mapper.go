@@ -334,10 +334,12 @@ var workerPool sync.Pool
 
 // getWorker takes a pooled worker state bound to this session, or builds
 // one. A state last used by another session gets fresh candidate buffers
-// for this architecture. Nothing else needs rebinding: the scratch
-// resolves its first Stage in full (it was staged for another Compiled —
-// every search compiles its own), and every draw rewrites the candidate
-// tables.
+// for this architecture. Nothing else needs rebinding: every draw rewrites
+// the candidate tables, and the scratch resolves its first Stage in full
+// as long as it was staged for another Compiled. Every search compiles its
+// own, so search takes all its states before any of its workers runs: a
+// state a sibling worker put back would carry that worker's last staged
+// mapping for the same Compiled.
 func (s *Session) getWorker() *workerState {
 	ws, _ := workerPool.Get().(*workerState)
 	if ws == nil {
@@ -493,11 +495,14 @@ func (s *Session) search(l *workload.Layer, o Options) (*Best, error) {
 	// It runs once per distinct value — once at default budgets — before
 	// the workers start, and every worker continues from a copy. The first
 	// worker of each pass takes over the pass's worker state, whose scratch
-	// still holds the pass's last staged mapping.
+	// still holds the pass's last staged mapping. Every other worker's
+	// state is taken here, before any worker runs and so before any can
+	// return one to the pool: its scratch was staged for another search's
+	// Compiled, never for a sibling's last mapping.
 	budgets := splitBudget(o.Budget, o.Workers)
-	passes := make(map[int]*seedPass, 1)
-	starts := make([]*seedPass, o.Workers)
-	owns := make([]bool, o.Workers)
+	passes := make(map[int]*worker, 1)
+	starts := make([]*worker, o.Workers)
+	states := make([]*workerState, o.Workers)
 	for w, b := range budgets {
 		if b <= 0 {
 			continue
@@ -507,9 +512,10 @@ func (s *Session) search(l *workload.Layer, o Options) (*Best, error) {
 		if p == nil {
 			p = s.runSeedPass(c, l, &o, k, warm)
 			passes[k] = p
-			owns[w] = true
-		} else if p.seen == nil {
-			p.seen = slices.Collect(maps.Keys(p.w.ws.seen))
+			states[w] = p.ws
+		} else {
+			states[w] = s.getWorker()
+			maps.Copy(states[w].seen, p.ws.seen)
 		}
 		starts[w] = p
 	}
@@ -529,7 +535,7 @@ func (s *Session) search(l *workload.Layer, o Options) (*Best, error) {
 		go func() {
 			defer wg.Done()
 			rng := rand.New(&splitmix64{x: uint64(o.Seed + int64(w)*7919)})
-			best, evals, stats := s.searchWorker(p, owns[w], budgets[w], rng)
+			best, evals, stats := s.searchWorker(p, states[w], budgets[w], rng)
 			results[w] = outcome{best, evals, stats}
 		}()
 	}
@@ -1012,27 +1018,18 @@ func (w *worker) consider(m *mapping.Mapping, r *model.Result) {
 	}
 }
 
-// seedPass is the outcome of phase 0 for one seed cap: the worker that ran
-// it, just after the phase, and — when more than one search worker starts
-// from it — a snapshot of the fingerprints it recorded.
-type seedPass struct {
-	w    worker
-	seen []uint64
-}
-
-// runSeedPass runs phase 0 on a fresh worker: the caller-provided seed
-// mappings, charged against a budget of seedCap, then the warm starts
-// (validated always — they come from other searches — and not
-// budget-charged). Seeds are tried in place: nothing mutates a candidate,
-// and consider clones on retention.
-func (s *Session) runSeedPass(c *model.Compiled, l *workload.Layer, o *Options, seedCap int, warm []*mapping.Mapping) *seedPass {
-	p := &seedPass{w: worker{
+// runSeedPass runs phase 0 on a fresh worker and returns that worker just
+// after the phase: the caller-provided seed mappings, charged against a
+// budget of seedCap, then the warm starts (validated always — they come
+// from other searches — and not budget-charged). Seeds are tried in
+// place: nothing mutates a candidate, and consider clones on retention.
+func (s *Session) runSeedPass(c *model.Compiled, l *workload.Layer, o *Options, seedCap int, warm []*mapping.Mapping) *worker {
+	w := &worker{
 		s: s, c: c, l: l, o: o, ws: s.getWorker(), budget: seedCap,
 		evalOpts:       model.Options{SkipValidate: true, ChargeStatic: o.Eval.ChargeStatic},
 		validate:       !o.Eval.SkipValidate,
 		lastSpatialKey: -1, assignA: -1, assignB: -1,
-	}}
-	w := &p.w
+	}
 	for _, seed := range o.Seeds {
 		w.consider(seed, w.try(seed, true, -1))
 	}
@@ -1044,33 +1041,28 @@ func (s *Session) runSeedPass(c *model.Compiled, l *workload.Layer, o *Options, 
 		}
 		w.consider(m, r)
 	}
-	return p
+	return w
 }
 
-// searchWorker runs one worker's slice of the search: phase 0 (seeds, warm
-// starts) comes from p, then the (reordered) random exploration stream and
-// the hill climb. The worker starts exactly where its own phase 0 would
-// have left it: the evaluation count, stats, incumbent and dedup set, and
-// the delta baseline prevEval. When own is set it takes over p's worker
-// state, whose scratch is still staged for prevEval; any other worker's
-// scratch was staged for another Compiled, so its first Stage resolves in
-// full — bit-identical to the delta resolution, and counted in the same
-// stats bucket, which levelsShared decides. The returned Best is
-// bit-identical to the oracle's (Options.oracle) for the same (seed,
-// budget) — the lower-bound gate only discards candidates that provably
-// cannot win, and delta evaluation reproduces full evaluations exactly
-// (TestPrunedSearchMatchesUnprunedSampler pins both).
-func (s *Session) searchWorker(p *seedPass, own bool, budget int, rng *rand.Rand) (*Best, int, SearchStats) {
-	w := p.w
-	w.budget = budget
-	if !own {
-		w.ws = s.getWorker()
-		for _, fp := range p.seen {
-			w.ws.seen[fp] = struct{}{}
-		}
-	}
-	defer putWorker(w.ws)
-	a, l, o, ws := s.a, w.l, w.o, w.ws
+// searchWorker runs one worker's slice of the search on worker state ws:
+// phase 0 (seeds, warm starts) comes from p, then the (reordered) random
+// exploration stream and the hill climb. The worker starts exactly where
+// its own phase 0 would have left it: the evaluation count, stats,
+// incumbent and dedup set (ws.seen holds p's fingerprints), and the delta
+// baseline prevEval. Either ws is p's own state, whose scratch is still
+// staged for prevEval, or search took it from the pool before any worker
+// ran, so its scratch was staged for another search's Compiled and its
+// first Stage resolves in full — bit-identical to the delta resolution,
+// and counted in the same stats bucket, which levelsShared decides. The
+// returned Best is bit-identical to the oracle's (Options.oracle) for the
+// same (seed, budget) — the lower-bound gate only discards candidates that
+// provably cannot win, and delta evaluation reproduces full evaluations
+// exactly (TestPrunedSearchMatchesUnprunedSampler pins both).
+func (s *Session) searchWorker(p *worker, ws *workerState, budget int, rng *rand.Rand) (*Best, int, SearchStats) {
+	w := *p
+	w.ws, w.budget = ws, budget
+	defer putWorker(ws)
+	a, l, o := s.a, w.l, w.o
 	n := a.NumLevels()
 
 	// Phase 0.5: when nothing has set an incumbent yet, score the trivial
