@@ -70,21 +70,7 @@ func EvalNetwork(cfg Config, net workload.Network, opts NetOptions) (*NetResult,
 	// session caching its invariants) once and share it across layers.
 	sessions := map[workload.TensorSet]*mapper.Session{}
 	sessionFor := func(i int) (*mapper.Session, error) {
-		lcfg := cfg
-		if opts.Fused {
-			// Activations stay on chip: DRAM backs weights always,
-			// inputs only for the first layer, outputs only for the
-			// last.
-			keeps := workload.NewTensorSet(workload.Weights)
-			if i == 0 {
-				keeps = keeps.With(workload.Inputs)
-			}
-			if i == len(work.Layers)-1 {
-				keeps = keeps.With(workload.Outputs)
-			}
-			lcfg.DRAMKeeps = keeps
-			lcfg.GLBMiB = fusedGLBMiB(cfg.GLBMiB, &work, opts.Batch)
-		}
+		lcfg := layerConfig(cfg, &work, opts, i)
 		if s, ok := sessions[lcfg.DRAMKeeps]; ok {
 			return s, nil
 		}
@@ -103,8 +89,13 @@ func EvalNetwork(cfg Config, net workload.Network, opts NetOptions) (*NetResult,
 	// mapper.SearchLayers searches one representative per distinct
 	// (session, layer shape) — the canonical seed mappings are themselves
 	// shape properties — and clones its result for repeated blocks. The
-	// seeds and warm starts are built inside each representative's search.
+	// warm starts are gathered inside each representative's search; the
+	// canonical seeds go in as memoized fingerprints and are built only if
+	// the search misses every cache tier.
 	tasks := make([]mapper.LayerTask, len(work.Layers))
+	// firstSeen[i] is the memo entry task i fingerprinted first, whose
+	// seeds wait for a search to take them.
+	firstSeen := make([]*seedEntry, len(work.Layers))
 	for i := range work.Layers {
 		layer := &work.Layers[i]
 		sess, err := sessionFor(i)
@@ -113,7 +104,7 @@ func EvalNetwork(cfg Config, net workload.Network, opts NetOptions) (*NetResult,
 		}
 		tasks[i] = mapper.LayerTask{Session: sess, Layer: layer, Options: func() mapper.Options {
 			mopts := opts.Mapper
-			mopts.Seeds = append(CanonicalMappings(sess.Engine().Arch(), layer), mopts.Seeds...)
+			mopts.LazySeeds, firstSeen[i] = canonicalSeeds(sess, layer)
 			if opts.WarmStarts != nil {
 				// A fresh slice: concurrent searches share the map's entries.
 				mopts.WarmStarts = slices.Concat(opts.WarmStarts[layer.ShapeFingerprint()], mopts.WarmStarts)
@@ -122,14 +113,49 @@ func EvalNetwork(cfg Config, net workload.Network, opts NetOptions) (*NetResult,
 		}}
 	}
 	bests, err := mapper.SearchLayers(tasks)
+	// A search served from a cache tier never took the seeds built to
+	// fingerprint its pair; the memo keeps only the fingerprints.
+	for _, e := range firstSeen {
+		if e != nil {
+			e.pending.Store(nil)
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("albireo: %w", err)
 	}
+	nEnergy, nUsage := 0, 0
+	for _, best := range bests {
+		nEnergy += len(best.Result.Energy)
+		nUsage += len(best.Result.Usage)
+	}
+	res.Total.Energy = make([]model.EnergyItem, 0, nEnergy)
+	res.Total.Usage = make([]model.Usage, 0, nUsage)
 	for i, best := range bests {
 		res.Layers = append(res.Layers, LayerEval{Layer: work.Layers[i], Best: best})
 		res.Total.Accumulate(best.Result)
 	}
 	return res, nil
+}
+
+// layerConfig returns the configuration layer i of the network runs on:
+// cfg itself, or under fusion cfg with the fused global buffer and only
+// the tensors DRAM still backs for that layer.
+func layerConfig(cfg Config, work *workload.Network, opts NetOptions, i int) Config {
+	if !opts.Fused {
+		return cfg
+	}
+	// Activations stay on chip: DRAM backs weights always, inputs only
+	// for the first layer, outputs only for the last.
+	keeps := workload.NewTensorSet(workload.Weights)
+	if i == 0 {
+		keeps = keeps.With(workload.Inputs)
+	}
+	if i == len(work.Layers)-1 {
+		keeps = keeps.With(workload.Outputs)
+	}
+	cfg.DRAMKeeps = keeps
+	cfg.GLBMiB = fusedGLBMiB(cfg.GLBMiB, work, opts.Batch)
+	return cfg
 }
 
 // fusedGLBMiB sizes the fused global buffer: at least double the baseline

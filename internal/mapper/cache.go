@@ -126,7 +126,8 @@ func (c *Cache) TierStats() TierStats {
 
 // search runs (or joins, or reuses) the deduplicated search for the layer.
 // The options must already have defaults applied, since the defaults feed
-// the key.
+// the key. Lazy seeds are built only by the one computation, after both
+// tiers missed.
 func (c *Cache) search(s *Session, l *workload.Layer, o Options) (*Best, error) {
 	key := Key{Arch: s.fp, Layer: l.ShapeFingerprint(), Opts: o.fingerprint()}
 	c.mu.Lock()
@@ -187,7 +188,8 @@ func (b *Best) CloneFor(layer string) *Best {
 }
 
 // fingerprint hashes every option that can alter a search outcome. The
-// Cache pointer itself is deliberately excluded.
+// Cache pointer itself is deliberately excluded, and so is how the seeds
+// are supplied: lazy seeds hash as the mappings they build.
 func (o *Options) fingerprint() uint64 {
 	h := workload.NewFnv64a()
 	h.Mix(uint64(o.Objective))
@@ -205,7 +207,16 @@ func (o *Options) fingerprint() uint64 {
 		flags |= 4
 	}
 	h.Mix(flags)
-	h.Mix(uint64(len(o.Seeds)))
+	// Lazy seeds precede Seeds, so the key is the one the built seeds
+	// would give in front of Seeds.
+	var lazy []uint64
+	if o.LazySeeds != nil {
+		lazy = o.LazySeeds.Fingerprints
+	}
+	h.Mix(uint64(len(lazy) + len(o.Seeds)))
+	for _, fp := range lazy {
+		h.Mix(fp)
+	}
 	for _, seed := range o.Seeds {
 		h.Mix(seed.Fingerprint())
 	}

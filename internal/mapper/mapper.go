@@ -109,6 +109,12 @@ type Options struct {
 	// architecture's canonical schedules); the hill climber starts from
 	// the best of seeds and random samples.
 	Seeds []*mapping.Mapping
+	// LazySeeds, when non-nil, are seeds known up front only by their
+	// fingerprints. They run before Seeds and key the search exactly as
+	// the same mappings in front of Seeds would, but Build is called only
+	// when the search actually runs: a Cache serving the result from
+	// memory or from its persister never builds them.
+	LazySeeds *LazySeeds
 	// WarmStarts are incumbent mappings threaded in from structurally
 	// related, already-solved searches — the same layer shape on a
 	// neighboring sweep point, typically. They are validated against this
@@ -133,6 +139,15 @@ type Options struct {
 	// exists only for the equivalence tests that prove it and is
 	// deliberately left out of the cache fingerprint.
 	oracle bool
+}
+
+// LazySeeds are seed mappings given by fingerprint and built on demand.
+type LazySeeds struct {
+	// Fingerprints are the seeds' Mapping.Fingerprint values, in order.
+	Fingerprints []uint64
+	// Build returns the seeds themselves: mappings with exactly these
+	// fingerprints, in the same order, owned by the caller.
+	Build func() []*mapping.Mapping
 }
 
 func (o *Options) withDefaults() Options {
@@ -429,6 +444,10 @@ func sessionFor(a *arch.Arch) (*Session, error) {
 	return s, nil
 }
 
+// Fingerprint returns the architecture's Fingerprint, computed once when
+// the session was built.
+func (s *Session) Fingerprint() uint64 { return s.fp }
+
 // Engine returns the session's compiled evaluation engine.
 func (s *Session) Engine() *model.Engine { return s.eng }
 
@@ -475,6 +494,14 @@ func splitBudget(budget, workers int) []int {
 
 // search runs the uncached search; o must have defaults applied.
 func (s *Session) search(l *workload.Layer, o Options) (*Best, error) {
+	if lz := o.LazySeeds; lz != nil {
+		built := lz.Build()
+		if len(built) != len(lz.Fingerprints) {
+			return nil, fmt.Errorf("mapper: lazy seeds built %d mappings for %d fingerprints", len(built), len(lz.Fingerprints))
+		}
+		o.Seeds = append(built, o.Seeds...)
+		o.LazySeeds = nil
+	}
 	c, err := s.eng.Compile(l)
 	if err != nil {
 		return nil, err
@@ -1471,7 +1498,7 @@ type LayerTask struct {
 	Layer   *workload.Layer
 	// Options builds the layer's search options. SearchLayers calls it
 	// once per distinct (Session, layer shape), inside that search's
-	// goroutine, so per-layer option building (canonical seed mappings,
+	// goroutine, so per-layer option building (seed fingerprints,
 	// warm-start lookups) runs concurrently and duplicates skip it. Tasks
 	// sharing a session and a shape must build equal options.
 	Options func() Options
