@@ -29,6 +29,12 @@ type NetOptions struct {
 	// appended to Mapper.WarmStarts for the matching layers; see
 	// mapper.Options.WarmStarts for the semantics.
 	WarmStarts map[uint64][]*mapping.Mapping
+	// TotalsOnly is for callers that only read the outcome. The network
+	// total's Energy and Usage ledgers stay empty (every scalar of
+	// NetResult.Total is still exact), and same-shaped layers share one
+	// Best, whose Result.Layer names the first of them; LayerEval.Layer
+	// still names each layer. No layer's ledger is copied more than once.
+	TotalsOnly bool
 }
 
 // LayerEval pairs a layer with its best mapping's evaluation.
@@ -43,7 +49,8 @@ type NetResult struct {
 	Config  Config
 	Options NetOptions
 	Layers  []LayerEval
-	// Total accumulates all layers (energy ledger included).
+	// Total accumulates all layers (energy ledger included unless
+	// Options.TotalsOnly).
 	Total model.Result
 }
 
@@ -112,7 +119,11 @@ func EvalNetwork(cfg Config, net workload.Network, opts NetOptions) (*NetResult,
 			return mopts
 		}}
 	}
-	bests, err := mapper.SearchLayers(tasks)
+	search := mapper.SearchLayers
+	if opts.TotalsOnly {
+		search = mapper.SearchLayersShared
+	}
+	bests, err := search(tasks)
 	// A search served from a cache tier never took the seeds built to
 	// fingerprint its pair; the memo keeps only the fingerprints.
 	for _, e := range firstSeen {
@@ -123,6 +134,16 @@ func EvalNetwork(cfg Config, net workload.Network, opts NetOptions) (*NetResult,
 	if err != nil {
 		return nil, fmt.Errorf("albireo: %w", err)
 	}
+	res.Layers = make([]LayerEval, len(bests))
+	for i, best := range bests {
+		res.Layers[i] = LayerEval{Layer: work.Layers[i], Best: best}
+	}
+	if opts.TotalsOnly {
+		for _, best := range bests {
+			res.Total.AccumulateTotals(best.Result)
+		}
+		return res, nil
+	}
 	nEnergy, nUsage := 0, 0
 	for _, best := range bests {
 		nEnergy += len(best.Result.Energy)
@@ -130,8 +151,7 @@ func EvalNetwork(cfg Config, net workload.Network, opts NetOptions) (*NetResult,
 	}
 	res.Total.Energy = make([]model.EnergyItem, 0, nEnergy)
 	res.Total.Usage = make([]model.Usage, 0, nUsage)
-	for i, best := range bests {
-		res.Layers = append(res.Layers, LayerEval{Layer: work.Layers[i], Best: best})
+	for _, best := range bests {
 		res.Total.Accumulate(best.Result)
 	}
 	return res, nil

@@ -596,6 +596,9 @@ func (s *Session) search(l *workload.Layer, o Options) (*Best, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The ledgers grew by append; a Cache keeps this result as long as
+	// the entry lives, so it keeps them without the spare capacity.
+	full.Compact()
 	best.Result = full
 	return best, nil
 }
@@ -1521,6 +1524,39 @@ type LayerTask struct {
 // search's join. Outcomes do not depend on that scheduling. The error, if
 // any, is the first failing task's.
 func SearchLayers(tasks []LayerTask) ([]*Best, error) {
+	bests, rep, err := searchRepresentatives(tasks)
+	if err != nil {
+		return nil, err
+	}
+	for i := range tasks {
+		if rep[i] != i {
+			bests[i] = bests[rep[i]].CloneFor(tasks[i].Layer.Name)
+		}
+	}
+	return bests, nil
+}
+
+// SearchLayersShared is SearchLayers without the clones for duplicates: a
+// duplicate's entry is its representative's Best itself, whose
+// Result.Layer names the representative. It suits callers that only read
+// the outcomes; a network of repeated blocks then copies each distinct
+// layer's ledger once instead of once per layer.
+func SearchLayersShared(tasks []LayerTask) ([]*Best, error) {
+	bests, rep, err := searchRepresentatives(tasks)
+	if err != nil {
+		return nil, err
+	}
+	for i := range tasks {
+		bests[i] = bests[rep[i]]
+	}
+	return bests, nil
+}
+
+// searchRepresentatives searches one representative per distinct
+// (Session, shape) of the tasks, as SearchLayers describes. It returns
+// the representatives' bests at their own indices (nil elsewhere) and
+// each task's representative index.
+func searchRepresentatives(tasks []LayerTask) ([]*Best, []int, error) {
 	type shapeKey struct {
 		s     *Session
 		shape uint64
@@ -1551,15 +1587,10 @@ func SearchLayers(tasks []LayerTask) ([]*Best, error) {
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("mapper: layer %s: %w", tasks[i].Layer.Name, err)
+			return nil, nil, fmt.Errorf("mapper: layer %s: %w", tasks[i].Layer.Name, err)
 		}
 	}
-	for i := range tasks {
-		if rep[i] != i {
-			bests[i] = bests[rep[i]].CloneFor(tasks[i].Layer.Name)
-		}
-	}
-	return bests, nil
+	return bests, rep, nil
 }
 
 func maxParallel() int {

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"photoloop/internal/arch"
@@ -451,5 +452,52 @@ func TestResultAccumulate(t *testing.T) {
 	}
 	if math.Abs(total.Utilization-r1.Utilization) > 1e-9 {
 		t.Error("Accumulate utilization wrong")
+	}
+
+	// AccumulateTotals leaves the ledgers alone and every scalar exactly
+	// as Accumulate sets it, fidelity merge included.
+	r3 := r2.Clone()
+	r3.EffectiveBits, r3.SNRDB, r3.AccuracyLossPct = 7.5, 40, 0.25
+	full, totals := Result{Layer: "net"}, Result{Layer: "net"}
+	for _, r := range []*Result{r1, r3, r2} {
+		full.Accumulate(r)
+		totals.AccumulateTotals(r)
+	}
+	if totals.Energy != nil || totals.Usage != nil {
+		t.Error("AccumulateTotals copied a ledger")
+	}
+	if totals.MACs != r1.MACs+r2.MACs+r3.MACs || totals.PaddedMACs != r1.PaddedMACs+r2.PaddedMACs+r3.PaddedMACs ||
+		totals.ComputeCycles != r1.ComputeCycles+r2.ComputeCycles+r3.ComputeCycles ||
+		totals.Cycles != r1.Cycles+r3.Cycles+r2.Cycles || totals.TotalPJ != r1.TotalPJ+r3.TotalPJ+r2.TotalPJ {
+		t.Errorf("AccumulateTotals counters = %+v, want the sums of the layers'", totals)
+	}
+	full.Energy, full.Usage = nil, nil
+	if !reflect.DeepEqual(full, totals) {
+		t.Errorf("AccumulateTotals = %+v, Accumulate = %+v", totals, full)
+	}
+}
+
+func TestResultCompact(t *testing.T) {
+	a := twoLevel(t)
+	l := handLayer()
+	m := mapping.New(a)
+	setTemporal(m, 0, map[workload.Dim]int{workload.DimK: 2, workload.DimC: 2, workload.DimP: 2, workload.DimQ: 2}, nil)
+	r, err := Evaluate(a, &l, m, Options{FullLedger: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Energy = append(r.Energy, r.Energy...)[:len(r.Energy)] // spare capacity
+	want := r.Clone()
+	r.Compact()
+	if cap(r.Energy) != len(r.Energy) || cap(r.Usage) != len(r.Usage) {
+		t.Errorf("Compact left capacity: energy %d/%d, usage %d/%d", len(r.Energy), cap(r.Energy), len(r.Usage), cap(r.Usage))
+	}
+	if !reflect.DeepEqual(r, want) {
+		t.Error("Compact changed the result")
+	}
+	var empty Result
+	empty.Compact()
+	if empty.Energy != nil || empty.Usage != nil {
+		t.Error("Compact allocated ledgers for an empty result")
 	}
 }

@@ -129,6 +129,17 @@ func (r *Result) Clone() *Result {
 	return &out
 }
 
+// Compact reallocates the Usage and Energy ledgers to their lengths,
+// dropping the spare capacity append growth left. Contents are unchanged.
+func (r *Result) Compact() {
+	if cap(r.Usage) > len(r.Usage) {
+		r.Usage = append(make([]Usage, 0, len(r.Usage)), r.Usage...)
+	}
+	if cap(r.Energy) > len(r.Energy) {
+		r.Energy = append(make([]EnergyItem, 0, len(r.Energy)), r.Energy...)
+	}
+}
+
 // PJPerMAC returns energy per real MAC.
 func (r *Result) PJPerMAC() float64 {
 	if r.MACs == 0 {
@@ -194,6 +205,15 @@ func SortedKeys(m map[string]float64) []string {
 // whole-network rollups). Cycles add; utilization becomes the MAC-weighted
 // aggregate, as do the fidelity metrics when either side carries them.
 func (r *Result) Accumulate(o *Result) {
+	r.AccumulateTotals(o)
+	r.Energy = append(r.Energy, o.Energy...)
+	r.Usage = append(r.Usage, o.Usage...)
+}
+
+// AccumulateTotals is Accumulate without the Energy and Usage ledgers: every
+// scalar of r ends up bit-identical to what Accumulate gives, but neither
+// ledger is copied. Rollups that report only whole-network metrics use it.
+func (r *Result) AccumulateTotals(o *Result) {
 	if r.EffectiveBits != 0 || o.EffectiveBits != 0 {
 		// MAC-weighted merge, using the pre-merge counts. A side without
 		// fidelity annotation contributes zeros at its weight — annotate
@@ -210,8 +230,6 @@ func (r *Result) Accumulate(o *Result) {
 	r.ComputeCycles += o.ComputeCycles
 	r.Cycles += o.Cycles
 	r.TotalPJ += o.TotalPJ
-	r.Energy = append(r.Energy, o.Energy...)
-	r.Usage = append(r.Usage, o.Usage...)
 	if r.PaddedMACs > 0 {
 		r.Utilization = float64(r.MACs) / float64(r.PaddedMACs)
 	}

@@ -208,13 +208,18 @@ func Eval(req *EvalRequest, cache *mapper.Cache) (*EvalResponse, error) {
 				Objective: obj, Budget: req.Budget, Seed: req.Seed,
 				Workers: req.Workers, Cache: cache,
 			},
+			// The response reads the outcome and its scalar totals only.
+			TotalsOnly: true,
 		})
 		if err != nil {
 			return nil, err
 		}
 		for i := range nres.Layers {
 			best := nres.Layers[i].Best
-			resp.Layers = append(resp.Layers, layerOutcome(best))
+			lo := layerOutcome(best)
+			// Same-shaped layers share a Best named for the first of them.
+			lo.Layer = nres.Layers[i].Layer.Name
+			resp.Layers = append(resp.Layers, lo)
 			annotate(&resp.Layers[len(resp.Layers)-1], best.Mapping)
 			resp.Evaluations += best.Evaluations
 			resp.Pruned += best.Stats.Pruned
@@ -269,7 +274,7 @@ func Eval(req *EvalRequest, cache *mapper.Cache) (*EvalResponse, error) {
 		resp.Pruned += stats.Pruned
 		resp.DeltaEvals += stats.DeltaEvals
 		resp.FullEvals += stats.FullEvals
-		total.Accumulate(res)
+		total.AccumulateTotals(res)
 	}
 	resp.fillTotals(&total)
 	finishFidelity()

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"log"
 	"net/http"
 	"sort"
+	"sync"
 
 	"photoloop/internal/mapper"
 	"photoloop/internal/presets"
@@ -18,9 +20,39 @@ import (
 // responses (two-space indented JSON) — `photoloop eval -json` matches
 // `POST /v1/eval` byte for byte because both go through it.
 func EncodeResponseJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
+	e := responseEncoders.Get().(*responseEncoder)
+	defer e.release()
+	e.buf.Reset()
+	if err := e.enc.Encode(v); err != nil {
+		return err
+	}
+	_, err := w.Write(e.buf.Bytes())
+	return err
+}
+
+// responseEncoder is an indenting encoder with the buffer it writes to.
+// json.Encoder keeps its indent buffer between calls, so a pooled one
+// encodes a response without regrowing either buffer.
+type responseEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// maxPooledResponse bounds the buffers returned to the pool: the rare
+// large response (a whole sweep) is not kept alive for the small ones.
+const maxPooledResponse = 1 << 20
+
+var responseEncoders = sync.Pool{New: func() any {
+	e := &responseEncoder{}
+	e.enc = json.NewEncoder(&e.buf)
+	e.enc.SetIndent("", "  ")
+	return e
+}}
+
+func (e *responseEncoder) release() {
+	if e.buf.Cap() <= maxPooledResponse {
+		responseEncoders.Put(e)
+	}
 }
 
 // DecodeSpec parses a sweep spec document strictly (unknown fields are

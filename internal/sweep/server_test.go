@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -270,5 +271,55 @@ func TestServeStudyMatchesLocal(t *testing.T) {
 	w = postJSON(t, srv, "/v1/study", StudySpec{Presets: []string{"nope"}})
 	if w.Code != http.StatusUnprocessableEntity {
 		t.Errorf("bad study status %d", w.Code)
+	}
+}
+
+// TestEncodeResponseJSONMatchesEncoder pins the pooled response encoder to
+// a fresh indenting json.Encoder, byte for byte, when encoders are reused
+// for documents of different sizes and from several goroutines.
+func TestEncodeResponseJSONMatchesEncoder(t *testing.T) {
+	docs := []any{
+		&EvalResponse{Arch: "a<b>&c", Network: "n", Layers: []LayerOutcome{{Layer: "l1", MACs: 3}, {Layer: "l2"}}},
+		map[string]any{"x": 1.5, "y": []int{1, 2, 3}},
+		&EvalResponse{Arch: "short"},
+		strings.Repeat("z", 2<<20), // larger than the pool keeps
+		"tail",
+	}
+	want := make([][]byte, len(docs))
+	for i, d := range docs {
+		var b bytes.Buffer
+		enc := json.NewEncoder(&b)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(d); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = b.Bytes()
+	}
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		go func() {
+			for rep := 0; rep < 5; rep++ {
+				for i, d := range docs {
+					var b bytes.Buffer
+					if err := EncodeResponseJSON(&b, d); err != nil {
+						errs <- err
+						return
+					}
+					if !bytes.Equal(b.Bytes(), want[i]) {
+						errs <- fmt.Errorf("document %d: pooled encoding differs", i)
+						return
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if err := EncodeResponseJSON(&bytes.Buffer{}, func() {}); err == nil {
+		t.Error("encoding a func succeeded")
 	}
 }
