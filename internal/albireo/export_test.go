@@ -80,3 +80,47 @@ func SeedsPending() int {
 	}
 	return n
 }
+
+// MaxSessionMemo is maxSessionMemo.
+const MaxSessionMemo = maxSessionMemo
+
+// CountSessionBuilds counts the architectures and mapper sessions the
+// session memo builds from now on (one of each per build); the returned
+// stop function ends the count and returns it. Tests using it must not
+// run in parallel.
+func CountSessionBuilds() (stop func() int64) {
+	var n atomic.Int64
+	build := newSession
+	newSession = func(cfg Config) (*mapper.Session, error) {
+		n.Add(1)
+		return build(cfg)
+	}
+	return func() int64 {
+		newSession = build
+		return n.Load()
+	}
+}
+
+// ResetSessionMemo empties the session memo.
+func ResetSessionMemo() {
+	sessionMemoMu.Lock()
+	sessionMemo = map[Config]*sessionEntry{}
+	sessionMemoMu.Unlock()
+}
+
+// FillSessionMemo pads the session memo with placeholder configurations
+// up to its cap.
+func FillSessionMemo() {
+	sessionMemoMu.Lock()
+	for i := 0; len(sessionMemo) < maxSessionMemo; i++ {
+		sessionMemo[Config{Clusters: -1 - i}] = &sessionEntry{}
+	}
+	sessionMemoMu.Unlock()
+}
+
+// SessionMemoLen returns the number of configurations in the session memo.
+func SessionMemoLen() int {
+	sessionMemoMu.Lock()
+	defer sessionMemoMu.Unlock()
+	return len(sessionMemo)
+}

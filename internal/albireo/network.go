@@ -31,9 +31,11 @@ type NetOptions struct {
 	WarmStarts map[uint64][]*mapping.Mapping
 	// TotalsOnly is for callers that only read the outcome. The network
 	// total's Energy and Usage ledgers stay empty (every scalar of
-	// NetResult.Total is still exact), and same-shaped layers share one
-	// Best, whose Result.Layer names the first of them; LayerEval.Layer
-	// still names each layer. No layer's ledger is copied more than once.
+	// NetResult.Total is still exact), and the Bests are shared and must
+	// not be modified: same-shaped layers share one, and one served by
+	// Mapper.Cache is the cache's own. A Best's Result.Layer names the
+	// layer it was first searched for; LayerEval.Layer still names each
+	// layer. No ledger is copied.
 	TotalsOnly bool
 }
 
@@ -71,28 +73,6 @@ func EvalNetwork(cfg Config, net workload.Network, opts NetOptions) (*NetResult,
 	res := &NetResult{Network: net.Name, Config: cfg, Options: opts}
 	res.Total.Layer = net.Name
 
-	// The architecture is identical for every layer unless fusion changes
-	// which tensors the DRAM backs — and even then only the first and last
-	// layers differ. Build each distinct architecture (and the mapper
-	// session caching its invariants) once and share it across layers.
-	sessions := map[workload.TensorSet]*mapper.Session{}
-	sessionFor := func(i int) (*mapper.Session, error) {
-		lcfg := layerConfig(cfg, &work, opts, i)
-		if s, ok := sessions[lcfg.DRAMKeeps]; ok {
-			return s, nil
-		}
-		a, err := lcfg.Build()
-		if err != nil {
-			return nil, fmt.Errorf("albireo: building arch: %w", err)
-		}
-		s, err := mapper.NewSession(a)
-		if err != nil {
-			return nil, fmt.Errorf("albireo: preparing mapper: %w", err)
-		}
-		sessions[lcfg.DRAMKeeps] = s
-		return s, nil
-	}
-
 	// mapper.SearchLayers searches one representative per distinct
 	// (session, layer shape) — the canonical seed mappings are themselves
 	// shape properties — and clones its result for repeated blocks. The
@@ -103,12 +83,19 @@ func EvalNetwork(cfg Config, net workload.Network, opts NetOptions) (*NetResult,
 	// firstSeen[i] is the memo entry task i fingerprinted first, whose
 	// seeds wait for a search to take them.
 	firstSeen := make([]*seedEntry, len(work.Layers))
+	// The architecture is identical for every layer unless fusion changes
+	// which tensors the DRAM backs (and then only the first and last
+	// layers differ). Each comes from the process-wide session memo.
+	var sess *mapper.Session
 	for i := range work.Layers {
 		layer := &work.Layers[i]
-		sess, err := sessionFor(i)
-		if err != nil {
-			return nil, fmt.Errorf("albireo: %s: %w", layer.Name, err)
+		if i == 0 || opts.Fused {
+			var err error
+			if sess, err = SessionFor(layerConfig(cfg, &work, opts, i)); err != nil {
+				return nil, fmt.Errorf("albireo: %s: %w", layer.Name, err)
+			}
 		}
+		sess := sess
 		tasks[i] = mapper.LayerTask{Session: sess, Layer: layer, Options: func() mapper.Options {
 			mopts := opts.Mapper
 			mopts.LazySeeds, firstSeen[i] = canonicalSeeds(sess, layer)

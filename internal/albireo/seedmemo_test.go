@@ -312,10 +312,10 @@ func TestSeedMemoResetRebuildsFingerprints(t *testing.T) {
 }
 
 // repeatAllocBound caps the allocations of a repeat resnet18 evaluation
-// served from the cache's memory tier: 764 measured (GOMAXPROCS 1, 2 and
+// served from the cache's memory tier: 412 measured (GOMAXPROCS 1, 2 and
 // 8 alike), plus headroom. Building the canonical seeds on every hit made
-// it 7526.
-const repeatAllocBound = 1000
+// it 7526, and building the architecture and its mapper session 764.
+const repeatAllocBound = 500
 
 // TestEvalNetworkRepeatAllocs gates the allocations of a repeat network
 // evaluation: a memory-tier hit on every layer builds no seeds.

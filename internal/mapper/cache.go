@@ -31,7 +31,7 @@ type Key struct {
 // a miss, so corruption costs time, not correctness.
 type Persister interface {
 	// Load returns the persisted Best for the key, or false. The returned
-	// value is owned by the cache (callers receive clones).
+	// value is owned by the cache, which never modifies it.
 	Load(k Key) (*Best, bool)
 	// Store persists a computed Best. Errors are reported through the
 	// cache's tier stats; persistence is best-effort and never fails the
@@ -124,10 +124,11 @@ func (c *Cache) TierStats() TierStats {
 	return TierStats{Hits: c.hits, DiskHits: c.diskHits, Misses: c.misses, DiskFails: c.diskFails}
 }
 
-// search runs (or joins, or reuses) the deduplicated search for the layer.
-// The options must already have defaults applied, since the defaults feed
-// the key. Lazy seeds are built only by the one computation, after both
-// tiers missed.
+// search runs (or joins, or reuses) the deduplicated search for the layer
+// and returns the entry's own Best, which callers must not modify. The
+// options must already have defaults applied, since the defaults feed the
+// key. Lazy seeds are built only by the one computation, after both tiers
+// missed.
 func (c *Cache) search(s *Session, l *workload.Layer, o Options) (*Best, error) {
 	key := Key{Arch: s.fp, Layer: l.ShapeFingerprint(), Opts: o.fingerprint()}
 	c.mu.Lock()
@@ -165,10 +166,7 @@ func (c *Cache) search(s *Session, l *workload.Layer, o Options) (*Best, error) 
 			}
 		}
 	})
-	if e.err != nil {
-		return nil, e.err
-	}
-	return e.best.CloneFor(l.Name), nil
+	return e.best, e.err
 }
 
 // CloneFor deep-copies a best for a caller evaluating a same-shaped layer

@@ -312,8 +312,7 @@ func (s *splitmix64) Int63() int64 { return int64(s.Uint64() >> 1) }
 // evaluation scratch, the shared result buffer, the candidate ping-pong
 // buffers, the dedup set and the candidate stream's tables dominate the
 // per-call allocation profile of short searches. States are pooled
-// process-wide (workerPool), so a search on a freshly built Session —
-// every sweep point, explore point and /v1/eval request builds one —
+// process-wide (workerPool), so a search on a freshly built Session
 // starts from buffers some earlier search already grew.
 type workerState struct {
 	// sess is the id of the session bufA and bufB were built for; every
@@ -412,9 +411,10 @@ func NewSession(a *arch.Arch) (*Session, error) {
 // the cache resets rather than growing without bound.
 const maxCachedSessions = 256
 
-// sessionCache reuses Sessions across one-shot Search/SearchNetwork calls,
-// keyed by the architecture fingerprint (which covers structure and
-// component energies — the same key the search Cache dedups on). Building
+// sessionCache reuses Sessions across one-shot Search/SearchNetwork calls
+// and SessionFor callers, keyed by the architecture fingerprint (which
+// covers structure and component energies — the same key the search Cache
+// dedups on). Building
 // a session costs ~100µs of engine resolution and assignment enumeration,
 // which used to dominate short searches issued through the package-level
 // helpers.
@@ -423,7 +423,14 @@ var (
 	sessionCache   = map[uint64]*Session{}
 )
 
-func sessionFor(a *arch.Arch) (*Session, error) {
+// SessionsBuilt returns how many Sessions the process has built so far.
+// A repeat evaluation served from the session caches adds none.
+func SessionsBuilt() uint64 { return sessionIDs.Load() }
+
+// SessionFor returns the process-wide cached Session of the architecture,
+// building one only for a fingerprint the cache does not hold. The
+// architecture must not be modified afterwards.
+func SessionFor(a *arch.Arch) (*Session, error) {
 	fp := a.Fingerprint()
 	sessionCacheMu.Lock()
 	s := sessionCache[fp]
@@ -456,15 +463,27 @@ func (s *Session) Engine() *model.Engine { return s.eng }
 // architecture fingerprint; prefer NewSession + Session.Search when mapping
 // several layers on the same architecture.
 func Search(a *arch.Arch, l *workload.Layer, opts Options) (*Best, error) {
-	s, err := sessionFor(a)
+	s, err := SessionFor(a)
 	if err != nil {
 		return nil, err
 	}
 	return s.Search(l, opts)
 }
 
-// Search finds the best mapping for the layer under the options.
+// Search finds the best mapping for the layer under the options. The
+// result is the caller's own, also when a Cache serves it.
 func (s *Session) Search(l *workload.Layer, opts Options) (*Best, error) {
+	b, err := s.searchShared(l, opts)
+	if err != nil || opts.Cache == nil {
+		return b, err
+	}
+	return b.CloneFor(l.Name), nil
+}
+
+// searchShared is Search without copying a cached result: a Best served
+// by the Cache is the cache's own, named for the layer it was first
+// searched for, and must not be modified.
+func (s *Session) searchShared(l *workload.Layer, opts Options) (*Best, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
@@ -1473,7 +1492,7 @@ func applyEdit(m *mapping.Mapping, e neighborEdit) {
 // in layer order, sharing one (cached) Session across the layers. Layers
 // are searched concurrently.
 func SearchNetwork(a *arch.Arch, net *workload.Network, opts Options) ([]*Best, error) {
-	s, err := sessionFor(a)
+	s, err := SessionFor(a)
 	if err != nil {
 		return nil, err
 	}
@@ -1524,7 +1543,7 @@ type LayerTask struct {
 // search's join. Outcomes do not depend on that scheduling. The error, if
 // any, is the first failing task's.
 func SearchLayers(tasks []LayerTask) ([]*Best, error) {
-	bests, rep, err := searchRepresentatives(tasks)
+	bests, rep, err := searchRepresentatives(tasks, (*Session).Search)
 	if err != nil {
 		return nil, err
 	}
@@ -1536,13 +1555,14 @@ func SearchLayers(tasks []LayerTask) ([]*Best, error) {
 	return bests, nil
 }
 
-// SearchLayersShared is SearchLayers without the clones for duplicates: a
-// duplicate's entry is its representative's Best itself, whose
-// Result.Layer names the representative. It suits callers that only read
-// the outcomes; a network of repeated blocks then copies each distinct
-// layer's ledger once instead of once per layer.
+// SearchLayersShared is SearchLayers without copies: a duplicate's entry
+// is its representative's Best itself, and a result served by a Cache is
+// the cache's own entry. A Best's Result.Layer then names the layer it was
+// first searched for, possibly in another network; callers name outcomes
+// from their tasks' layers and must not modify the Bests. A repeat
+// evaluation served from a Cache copies no ledger at all.
 func SearchLayersShared(tasks []LayerTask) ([]*Best, error) {
-	bests, rep, err := searchRepresentatives(tasks)
+	bests, rep, err := searchRepresentatives(tasks, (*Session).searchShared)
 	if err != nil {
 		return nil, err
 	}
@@ -1552,11 +1572,11 @@ func SearchLayersShared(tasks []LayerTask) ([]*Best, error) {
 	return bests, nil
 }
 
-// searchRepresentatives searches one representative per distinct
-// (Session, shape) of the tasks, as SearchLayers describes. It returns
-// the representatives' bests at their own indices (nil elsewhere) and
-// each task's representative index.
-func searchRepresentatives(tasks []LayerTask) ([]*Best, []int, error) {
+// searchRepresentatives searches, with search, one representative per
+// distinct (Session, shape) of the tasks, as SearchLayers describes. It
+// returns the representatives' bests at their own indices (nil elsewhere)
+// and each task's representative index.
+func searchRepresentatives(tasks []LayerTask, search func(*Session, *workload.Layer, Options) (*Best, error)) ([]*Best, []int, error) {
 	type shapeKey struct {
 		s     *Session
 		shape uint64
@@ -1581,7 +1601,7 @@ func searchRepresentatives(tasks []LayerTask) ([]*Best, []int, error) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			bests[i], errs[i] = t.Session.Search(t.Layer, t.Options())
+			bests[i], errs[i] = search(t.Session, t.Layer, t.Options())
 		}()
 	}
 	wg.Wait()

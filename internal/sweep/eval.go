@@ -9,7 +9,6 @@ import (
 	"photoloop/internal/mapper"
 	"photoloop/internal/mapping"
 	"photoloop/internal/model"
-	"photoloop/internal/presets"
 	"photoloop/internal/spec"
 	"photoloop/internal/workload"
 )
@@ -87,7 +86,9 @@ type EvalResponse struct {
 // resolveBase resolves the request's architecture. For Albireo-backed
 // requests (an Albireo base or an albireo-backed preset) the returned
 // config is non-nil, letting searched evaluations run the same
-// albireo.EvalNetwork path the sweep engine uses.
+// albireo.EvalNetwork path the sweep engine uses. Only a raw spec is
+// built afresh: a preset's or an Albireo configuration's architecture is
+// a process-wide memo's, shared and read-only.
 func (req *EvalRequest) resolveBase() (*albireo.Config, *arch.Arch, error) {
 	selectors := 0
 	for _, set := range []bool{req.Arch != nil, req.Albireo != nil, req.Preset != ""} {
@@ -98,7 +99,7 @@ func (req *EvalRequest) resolveBase() (*albireo.Config, *arch.Arch, error) {
 	if selectors != 1 {
 		return nil, nil, fmt.Errorf("sweep: eval request must set exactly one of arch, albireo or preset")
 	}
-	var cfg *albireo.Config
+	var cfg albireo.Config
 	switch {
 	case req.Arch != nil:
 		a, err := req.Arch.Build()
@@ -108,21 +109,24 @@ func (req *EvalRequest) resolveBase() (*albireo.Config, *arch.Arch, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		cfg = &c
+		cfg = c
 	default:
-		p, err := presets.ByName(req.Preset)
+		e, err := presetByName(req.Preset)
 		if err != nil {
-			return nil, nil, fmt.Errorf("sweep: eval request: %w", err)
+			return nil, nil, err
 		}
-		if c, ok := p.Albireo(); ok {
-			cfg = &c
-		} else {
-			a, err := p.Build()
+		c, ok := e.preset.Albireo()
+		if !ok {
+			a, err := e.build()
 			return nil, a, err
 		}
+		cfg = c
 	}
-	a, err := cfg.Build()
-	return cfg, a, err
+	sess, err := albireo.SessionFor(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &cfg, sess.Engine().Arch(), nil
 }
 
 // Eval runs one evaluation request. An optional shared cache deduplicates
@@ -134,10 +138,13 @@ func Eval(req *EvalRequest, cache *mapper.Cache) (*EvalResponse, error) {
 		return nil, err
 	}
 	wl := Workload{Network: req.Network, Inline: req.Inline, Batch: req.Batch}
-	net, netName, err := wl.resolve()
+	// net is shared and not yet batched; both paths below apply the batch
+	// to their own copy of the layers.
+	net, netName, err := wl.network()
 	if err != nil {
 		return nil, err
 	}
+	batch := max(1, req.Batch)
 	layers := net.Layers
 	if req.Layer != "" {
 		layers = nil
@@ -203,7 +210,7 @@ func Eval(req *EvalRequest, cache *mapper.Cache) (*EvalResponse, error) {
 		// bit-for-bit.
 		sub := workload.Network{Name: netName, Layers: layers}
 		nres, err := albireo.EvalNetwork(*cfg, sub, albireo.NetOptions{
-			Batch: req.Batch,
+			Batch: batch,
 			Mapper: mapper.Options{
 				Objective: obj, Budget: req.Budget, Seed: req.Seed,
 				Workers: req.Workers, Cache: cache,
@@ -214,10 +221,11 @@ func Eval(req *EvalRequest, cache *mapper.Cache) (*EvalResponse, error) {
 		if err != nil {
 			return nil, err
 		}
+		resp.Layers = make([]LayerOutcome, 0, len(nres.Layers))
 		for i := range nres.Layers {
 			best := nres.Layers[i].Best
 			lo := layerOutcome(best)
-			// Same-shaped layers share a Best named for the first of them.
+			// A shared Best names the layer it was first searched for.
 			lo.Layer = nres.Layers[i].Layer.Name
 			resp.Layers = append(resp.Layers, lo)
 			annotate(&resp.Layers[len(resp.Layers)-1], best.Mapping)
@@ -233,21 +241,39 @@ func Eval(req *EvalRequest, cache *mapper.Cache) (*EvalResponse, error) {
 		return resp, nil
 	}
 
-	var fixedMapping *mapping.Mapping
-	var sess *mapper.Session
-	if req.Mapping != nil {
-		if fixedMapping, err = req.Mapping.Build(a); err != nil {
+	work := workload.Network{Name: netName, Layers: layers}.WithBatch(batch)
+	var bests []*mapper.Best
+	if req.Mapping == nil {
+		sess, err := mapper.SessionFor(a)
+		if err != nil {
 			return nil, err
 		}
-	} else {
-		if sess, err = mapper.NewSession(a); err != nil {
+		// A read-only search of every layer: same-shaped layers share one
+		// search and cached results are not copied, so each outcome is
+		// named from its own layer.
+		opts := mapper.Options{
+			Objective: obj, Budget: req.Budget, Seed: req.Seed,
+			Workers: req.Workers, Cache: cache,
+		}
+		tasks := make([]mapper.LayerTask, len(work.Layers))
+		for i := range work.Layers {
+			tasks[i] = mapper.LayerTask{Session: sess, Layer: &work.Layers[i], Options: func() mapper.Options { return opts }}
+		}
+		if bests, err = mapper.SearchLayersShared(tasks); err != nil {
+			return nil, fmt.Errorf("sweep: %w", err)
+		}
+	}
+	var fixedMapping *mapping.Mapping
+	if req.Mapping != nil {
+		if fixedMapping, err = req.Mapping.Build(a); err != nil {
 			return nil, err
 		}
 	}
 
 	total := model.Result{Layer: netName}
-	for i := range layers {
-		l := &layers[i]
+	resp.Layers = make([]LayerOutcome, 0, len(work.Layers))
+	for i := range work.Layers {
+		l := &work.Layers[i]
 		var res *model.Result
 		var m *mapping.Mapping
 		evals := 0
@@ -258,17 +284,13 @@ func Eval(req *EvalRequest, cache *mapper.Cache) (*EvalResponse, error) {
 			}
 			m = fixedMapping
 		} else {
-			best, err := sess.Search(l, mapper.Options{
-				Objective: obj, Budget: req.Budget, Seed: req.Seed,
-				Workers: req.Workers, Cache: cache,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("sweep: layer %s: %w", l.Name, err)
-			}
+			best := bests[i]
 			res, evals, stats = best.Result, best.Evaluations, best.Stats
 			m = best.Mapping
 		}
-		resp.Layers = append(resp.Layers, layerOutcomeFrom(res, evals, stats))
+		lo := layerOutcomeFrom(res, evals, stats)
+		lo.Layer = l.Name
+		resp.Layers = append(resp.Layers, lo)
 		annotate(&resp.Layers[len(resp.Layers)-1], m)
 		resp.Evaluations += evals
 		resp.Pruned += stats.Pruned

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -18,24 +17,40 @@ import (
 
 // EncodeResponseJSON writes a value exactly as the HTTP server encodes its
 // responses (two-space indented JSON) — `photoloop eval -json` matches
-// `POST /v1/eval` byte for byte because both go through it.
+// `POST /v1/eval` byte for byte because both go through it. An
+// *EvalResponse is appended directly (see appendEvalResponse); every other
+// value, and a response holding a non-finite float, goes through an
+// indenting json.Encoder.
 func EncodeResponseJSON(w io.Writer, v any) error {
 	e := responseEncoders.Get().(*responseEncoder)
 	defer e.release()
-	e.buf.Reset()
-	if err := e.enc.Encode(v); err != nil {
-		return err
+	e.buf = e.buf[:0]
+	direct := false
+	if r, ok := v.(*EvalResponse); ok && r != nil {
+		e.buf, direct = appendEvalResponse(e.buf, r)
 	}
-	_, err := w.Write(e.buf.Bytes())
+	if !direct {
+		e.buf = e.buf[:0]
+		if err := e.enc.Encode(v); err != nil {
+			return err
+		}
+	}
+	_, err := w.Write(e.buf)
 	return err
 }
 
-// responseEncoder is an indenting encoder with the buffer it writes to.
-// json.Encoder keeps its indent buffer between calls, so a pooled one
-// encodes a response without regrowing either buffer.
+// responseEncoder is a response buffer with an indenting encoder writing
+// into it. json.Encoder keeps its indent buffer between calls, so a pooled
+// one encodes a response without regrowing either buffer.
 type responseEncoder struct {
-	buf bytes.Buffer
+	buf []byte
 	enc *json.Encoder
+}
+
+// Write appends to the buffer; it is the encoder's writer.
+func (e *responseEncoder) Write(p []byte) (int, error) {
+	e.buf = append(e.buf, p...)
+	return len(p), nil
 }
 
 // maxPooledResponse bounds the buffers returned to the pool: the rare
@@ -44,13 +59,13 @@ const maxPooledResponse = 1 << 20
 
 var responseEncoders = sync.Pool{New: func() any {
 	e := &responseEncoder{}
-	e.enc = json.NewEncoder(&e.buf)
+	e.enc = json.NewEncoder(e)
 	e.enc.SetIndent("", "  ")
 	return e
 }}
 
 func (e *responseEncoder) release() {
-	if e.buf.Cap() <= maxPooledResponse {
+	if cap(e.buf) <= maxPooledResponse {
 		responseEncoders.Put(e)
 	}
 }
@@ -241,7 +256,11 @@ func (s *Server) handleNetworks(w http.ResponseWriter, r *http.Request) {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
 	out := make([]networkInfo, 0, len(entries))
 	for _, e := range entries {
-		n := e.Build(1)
+		n, err := zooNetwork(e.Name)
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, err)
+			return
+		}
 		out = append(out, networkInfo{
 			Name: e.Name, Family: e.Family, Description: e.Description,
 			Layers: len(n.Layers), MACs: n.MACs(), Weights: n.WeightElems(),

@@ -154,23 +154,34 @@ type Workload struct {
 
 // resolve returns the workload's network at its batch size and a label.
 func (w *Workload) resolve() (workload.Network, string, error) {
+	n, name, err := w.network()
+	if err != nil {
+		return workload.Network{}, "", err
+	}
+	return n.WithBatch(max(1, w.Batch)), name, nil
+}
+
+// network is resolve without a copy of a zoo network: the network is the
+// zoo memo's own, at batch 1, and must not be modified. Applying WithBatch
+// to it (or to an inline network, already at its batch) gives resolve's.
+func (w *Workload) network() (*workload.Network, string, error) {
 	switch {
 	case w.Network != "" && w.Inline != nil:
-		return workload.Network{}, "", fmt.Errorf("sweep: workload sets both network %q and an inline network", w.Network)
+		return nil, "", fmt.Errorf("sweep: workload sets both network %q and an inline network", w.Network)
 	case w.Network != "":
-		n, err := workload.ByName(w.Network, max(1, w.Batch))
+		n, err := zooNetwork(w.Network)
 		if err != nil {
-			return workload.Network{}, "", fmt.Errorf("sweep: %w", err)
+			return nil, "", fmt.Errorf("sweep: %w", err)
 		}
 		return n, w.Network, nil
 	case w.Inline != nil:
 		n := w.Inline.WithBatch(max(1, w.Batch))
 		if err := n.Validate(); err != nil {
-			return workload.Network{}, "", fmt.Errorf("sweep: inline network: %w", err)
+			return nil, "", fmt.Errorf("sweep: inline network: %w", err)
 		}
-		return n, n.Name, nil
+		return &n, n.Name, nil
 	default:
-		return workload.Network{}, "", fmt.Errorf("sweep: workload names no network")
+		return nil, "", fmt.Errorf("sweep: workload names no network")
 	}
 }
 

@@ -1,6 +1,9 @@
 package workload
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // distinctShapes counts a network's distinct layer-shape fingerprints —
 // the number of mapper searches a deduplicating evaluation actually runs.
@@ -285,6 +288,21 @@ func TestWithBatchPreservesFoldedAxes(t *testing.T) {
 		}
 		if n4.WeightElems() != n1.WeightElems() {
 			t.Errorf("%s: weights changed with batch", name)
+		}
+	}
+}
+
+// TestZooBatchIsWithBatch: every zoo network built at batch b equals the
+// batch-1 network rebatched with WithBatch, field for field. That is what
+// lets the service build each zoo network once, at batch 1, and serve
+// every batch from it.
+func TestZooBatchIsWithBatch(t *testing.T) {
+	for _, e := range ZooEntries() {
+		one := e.Build(1)
+		for _, b := range []int{1, 2, 3, 4, 7, 16, 64} {
+			if got, want := one.WithBatch(b), e.Build(b); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: batch-1 network rebatched to %d differs from the batch-%d build", e.Name, b, b)
+			}
 		}
 	}
 }
